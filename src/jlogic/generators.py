@@ -145,7 +145,7 @@ def random_accepted_proof(
         if rng.random() < 0.5 and len(steps) + 4 < max_steps:
             # decorate with an axiom, a weakening of it, or a cs step
             inst = random_schema_instance(rng, rng.choice(AXIOM_TAGS), 1)
-            j = emit(inst, AxiomRule(first_tag(inst)))
+            j = emit(inst, AxiomRule(first_axiom_tag(inst)))
             if rng.random() < 0.5:
                 name = cs.constant_for(inst)
                 if name is not None:
@@ -162,13 +162,6 @@ def random_accepted_proof(
     if not report.ok:
         raise AssertionError(f"generator produced a bad proof: {report}")
     return pi
-
-
-def first_tag(a: Formula) -> str:
-    tag = first_axiom_tag(a)
-    if tag is None:
-        raise ValueError(f"{a} matches no schema")
-    return tag
 
 
 def random_theorems(

@@ -47,7 +47,6 @@ from jlogic.syntax import (
     print_formula,
     print_term,
     subformulas,
-    subterms,
     term_key,
     term_size,
 )
@@ -119,32 +118,19 @@ class BasicEvaluation:
                 base[w][t] = frozenset(formulas)
         self.base_evidence = base
 
-        fs = set(formula_universe)
         ts = set(term_universe)
         for per_term in base.values():
             for t, formulas in per_term.items():
                 ts.add(t)
                 for a in formulas:
                     ts |= formula_terms(a)
-        for a in fs:
-            ts |= formula_terms(a)
-        self.formula_universe: frozenset[Formula] = close_subformulas(fs)
-        for a in self.formula_universe:
-            ts |= formula_terms(a)
+        self.formula_universe: frozenset[Formula] = close_subformulas(formula_universe)
+        ts |= {a.term for a in self.formula_universe if isinstance(a, Just)}
         self.term_universe: frozenset[Term] = close_subterms(ts)
         self.cs = cs if cs is not None else ConstantSpecification.default_schematic()
 
-        self._up: dict[str, tuple[str, ...]] | None = None
         self._closure: dict[Term, dict[str, frozenset[Formula]]] | None = None
-        self._truth: dict[tuple[str, Formula], bool] = {}
-
-    def up(self, w: str) -> tuple[str, ...]:
-        if self._up is None:
-            self._up = {
-                u: tuple(v for v in self.worlds if (u, v) in self.order)
-                for u in self.worlds
-            }
-        return self._up[w]
+        self._truth_set = None  # the evaluator, built on first use
 
     def closure(self) -> dict[Term, dict[str, frozenset[Formula]]]:
         if self._closure is None:
@@ -179,14 +165,6 @@ class BasicEvaluation:
         return isinstance(other, BasicEvaluation) and self._fields() == other._fields()
 
 
-@dataclass(frozen=True)
-class EvidenceClosure:
-    derived: dict
-
-    def evidence(self, t: Term, w: str) -> frozenset[Formula]:
-        return self.derived[t][w]
-
-
 def _close(worlds, order, base_evidence, term_universe, formula_universe, cs):
     """Least evidence family over the base satisfying (1)-(4) and (M2).
 
@@ -195,14 +173,9 @@ def _close(worlds, order, base_evidence, term_universe, formula_universe, cs):
     final sets; its final set at w is the union of provisional sets at
     all worlds below w.  Subterm finals are complete when a composite is
     processed, and the upward union preserves (1)-(4) because the
-    subterm finals are themselves upward-monotone.
+    subterm finals are themselves upward-monotone.  Both universes must
+    be closed under subterms and subformulas; both callers close them.
     """
-    for t in term_universe:
-        if not subterms(t) <= term_universe:
-            raise UniverseNotClosed(f"term universe misses a subterm of {t}")
-    if not close_subformulas(formula_universe) <= frozenset(formula_universe):
-        raise UniverseNotClosed("formula universe is not subformula-closed")
-
     below = {w: tuple(u for u in worlds if (u, w) in order) for w in worlds}
     derived: dict[Term, dict[str, frozenset[Formula]]] = {}
     for t in sorted(term_universe, key=lambda t: (term_size(t), term_key(t))):
@@ -232,43 +205,69 @@ def _close(worlds, order, base_evidence, term_universe, formula_universe, cs):
     return derived
 
 
-def close_evidence(m: BasicEvaluation) -> EvidenceClosure:
-    """Derived evidence sets of m as a standalone mapping."""
-    return EvidenceClosure(m.closure())
+def _evaluator(worlds, up, atoms, derived):
+    """Truth sets over one basic evaluation, memoized per formula.
 
+    Worlds are bit positions in the order of worlds; up[i] is the set of
+    worlds above worlds[i], atoms maps an atom name to the set of worlds
+    where it holds, and derived is the evidence closure.  The returned
+    function maps a formula to the set of worlds where it holds."""
+    cache: dict[Formula, int] = {}
 
-def _truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
-    key = (w, a)
-    cached = m._truth.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(a, Atom):
-        out = a.name in m.atoms[w]
-    elif isinstance(a, Falsum):
-        out = False
-    elif isinstance(a, And):
-        out = _truth(m, w, a.left) and _truth(m, w, a.right)
-    elif isinstance(a, Or):
-        out = _truth(m, w, a.left) or _truth(m, w, a.right)
-    elif isinstance(a, Implies):
-        out = all(
-            not _truth(m, v, a.left) or _truth(m, v, a.right) for v in m.up(w)
-        )
-    elif isinstance(a, Just):
-        out = a.body in m.evidence(a.term, w)
-    else:
-        raise TypeError(f"not a formula: {a!r}")
-    m._truth[key] = out
-    return out
+    def truth_set(a: Formula) -> int:
+        out = cache.get(a)
+        if out is not None:
+            return out
+        if isinstance(a, Atom):
+            out = atoms.get(a.name, 0)
+        elif isinstance(a, Falsum):
+            out = 0
+        elif isinstance(a, And):
+            out = truth_set(a.left) & truth_set(a.right)
+        elif isinstance(a, Or):
+            out = truth_set(a.left) | truth_set(a.right)
+        elif isinstance(a, Implies):
+            bad = truth_set(a.left) & ~truth_set(a.right)
+            out = 0
+            for i, above in enumerate(up):
+                if not above & bad:
+                    out |= 1 << i
+        elif isinstance(a, Just):
+            per_world = derived.get(a.term)
+            if per_world is None:
+                raise UniverseNotClosed(f"term {a.term} is outside the term universe")
+            out = 0
+            for i, w in enumerate(worlds):
+                if a.body in per_world[w]:
+                    out |= 1 << i
+        else:
+            raise TypeError(f"not a formula: {a!r}")
+        cache[a] = out
+        return out
+
+    return truth_set
 
 
 def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
     """Truth at a world: falsum is false, atoms by valuation, conjunction
     and disjunction pointwise, implication over all worlds above w, and
-    t:A by membership of A in the derived evidence t*_w."""
+    t:A by membership of A in the derived evidence t*_w.
+
+    Computes the set of worlds where a holds, with its subformulas' sets,
+    and keeps them in a cache on m that later queries reuse."""
     if w not in m.atoms:
         raise ValueError(f"unknown world {w!r}")
-    return _truth(m, w, a)
+    if m._truth_set is None:
+        index = {v: i for i, v in enumerate(m.worlds)}
+        up = [0] * len(m.worlds)
+        for u, v in m.order:
+            up[index[u]] |= 1 << index[v]
+        atoms: dict[str, int] = {}
+        for i, v in enumerate(m.worlds):
+            for p in m.atoms[v]:
+                atoms[p] = atoms.get(p, 0) | 1 << i
+        m._truth_set = _evaluator(m.worlds, up, atoms, m.closure())
+    return bool(m._truth_set(a) >> m.worlds.index(w) & 1)
 
 
 def check_validity(m: BasicEvaluation, a: Formula) -> bool:
@@ -441,10 +440,17 @@ def find_countermodel(
     canonical code; atom valuations over upsets, lexicographically in
     atom order; evidence seed assignments innermost.  Seeds range over
     the Just-subformulas of a, each placed at the minimal worlds of an
-    upset, with the total seed count capped by evidence_budget.  A found
-    model is validated before it is returned, so a result certifies that
-    a is not a theorem; None means no countermodel exists in the searched
-    space, not that a is valid.
+    upset, with the total seed count capped by evidence_budget.
+
+    Each candidate is judged on sets of worlds: the evaluator behind
+    evaluate_truth runs on the evidence closure already built for the
+    seed assignment.  The order laws, M1, M2 and conditions (1)-(4) hold
+    by construction (canonical posets, upset valuations, _close), so a
+    candidate is kept when a fails at some world and the candidate is
+    factive.  Only the model about to be returned goes through
+    validate_model; it raises AssertionError if that fails.  So a result
+    certifies that a is not a theorem; None means no countermodel exists
+    in the searched space, not that a is valid.
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
@@ -461,6 +467,7 @@ def find_countermodel(
         names = tuple(f"w{i}" for i in range(n))
         for rel in _canonical_posets(n):
             order = frozenset((names[i], names[j]) for (i, j) in rel)
+            up = [sum(1 << j for (i2, j) in rel if i2 == i) for i in range(n)]
             ups = _upsets(n, rel)
             assignments = []
             for combo in itertools.product(ups, repeat=len(pool)):
@@ -474,66 +481,48 @@ def find_countermodel(
                 for (t, b), s in zip(pool, combo):
                     for i in _minima(s, rel):
                         base[names[i]].setdefault(t, set()).add(b)
-                closures[combo] = (base, _close(
-                    names, order, base, t_universe, f_universe, cs,
-                ))
+                derived = _close(names, order, base, t_universe, f_universe, cs)
+                # factivity: each formula must hold wherever it is evidenced
+                evidenced: dict[Formula, int] = {}
+                for per_world in derived.values():
+                    for i, w in enumerate(names):
+                        for f in per_world[w]:
+                            evidenced[f] = evidenced.get(f, 0) | 1 << i
+                closures[combo] = (base, derived, evidenced)
 
             for valuation in itertools.product(ups, repeat=len(atom_names)):
                 atoms = {
-                    names[i]: frozenset(
-                        p for p, s in zip(atom_names, valuation) if i in s
-                    )
-                    for i in range(n)
+                    p: sum(1 << i for i in s) for p, s in zip(atom_names, valuation)
                 }
                 for combo in assignments:
-                    base, derived = closures[combo]
-                    found = _quick_false_world(
-                        names, order, atoms, derived, a
-                    )
-                    if found is None:
+                    base, derived, evidenced = closures[combo]
+                    truth_set = _evaluator(names, up, atoms, derived)
+                    refuted = ~truth_set(a) & ((1 << n) - 1)
+                    if not refuted or any(
+                        need & ~truth_set(f) for f, need in evidenced.items()
+                    ):
                         continue
                     m = BasicEvaluation(
                         names,
                         order,
-                        atoms,
+                        {
+                            names[i]: frozenset(
+                                p for p, s in zip(atom_names, valuation) if i in s
+                            )
+                            for i in range(n)
+                        },
                         base_evidence=base,
                         term_universe=t_universe,
                         formula_universe=f_universe,
                         cs=cs,
                     )
-                    if not validate_model(m).ok:
-                        continue
-                    if not evaluate_truth(m, found, a):
-                        return Countermodel(m, found)
-    return None
-
-
-def _quick_false_world(names, order, atoms, derived, goal) -> str | None:
-    up = {w: tuple(v for v in names if (w, v) in order) for w in names}
-    cache: dict = {}
-
-    def ev(w: str, f: Formula) -> bool:
-        key = (w, f)
-        if key in cache:
-            return cache[key]
-        if isinstance(f, Atom):
-            out = f.name in atoms[w]
-        elif isinstance(f, Falsum):
-            out = False
-        elif isinstance(f, And):
-            out = ev(w, f.left) and ev(w, f.right)
-        elif isinstance(f, Or):
-            out = ev(w, f.left) or ev(w, f.right)
-        elif isinstance(f, Implies):
-            out = all(not ev(v, f.left) or ev(v, f.right) for v in up[w])
-        else:
-            out = f.body in derived[f.term][w]
-        cache[key] = out
-        return out
-
-    for w in names:
-        if not ev(w, goal):
-            return w
+                    verdict = validate_model(m)
+                    if not verdict.ok:
+                        raise AssertionError(
+                            f"countermodel search built an invalid model: {verdict}"
+                        )
+                    world = names[(refuted & -refuted).bit_length() - 1]
+                    return Countermodel(m, world)
     return None
 
 
@@ -646,7 +635,8 @@ def parse_model(
                 raise FileFormatError(f"unknown world {w!r}", lineno)
             atoms.setdefault(w, set()).update(names.split())
         elif section == "evidence":
-            parts = [p.strip() for p in line.split("|")]
+            # formulas may contain "_|_", so only the first two bars separate
+            parts = [p.strip() for p in line.split("|", 2)]
             if len(parts) != 3:
                 raise FileFormatError("expected 'w | term | formulas'", lineno)
             w, ttext, ftext = parts

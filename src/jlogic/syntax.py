@@ -284,6 +284,9 @@ _SYMBOLS = [
     ("(", "LPAR"),
     (")", "RPAR"),
 ]
+# alternatives are tried in list order, as the lexer's precedence needs
+_SYMBOL_RE = re.compile("|".join(re.escape(sym) for sym, _ in _SYMBOLS))
+_SYMBOL_KIND = dict(_SYMBOLS)
 
 
 @dataclass(frozen=True)
@@ -301,18 +304,17 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        for sym, kind in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(_Token(kind, sym, i))
-                i += len(sym)
-                break
+        m = _SYMBOL_RE.match(src, i)
+        if m:
+            toks.append(_Token(_SYMBOL_KIND[m.group(0)], m.group(0), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(src, i)
+        if m:
+            toks.append(_Token("IDENT", m.group(0), i))
+            i = m.end()
         else:
-            m = _IDENT_RE.match(src, i)
-            if m:
-                toks.append(_Token("IDENT", m.group(0), i))
-                i = m.end()
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {ch!r}", i)
     toks.append(_Token("EOF", "", n))
     return toks
 
@@ -433,21 +435,25 @@ class _Parser:
         raise ParseError("expected formula", tok.pos)
 
 
-def parse_term(src: str, constants: frozenset[str] = frozenset()) -> Term:
-    """Parse a justification term; raises ParseError with a position."""
+def _parse(src: str, constants: frozenset[str], start, what: str):
     p = _Parser(src, constants)
-    t = p.term()
+    try:
+        out = start(p)
+    except RecursionError:
+        raise ParseError(f"{what} nested too deeply", p.peek().pos) from None
     tok = p.peek()
     if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after term", tok.pos)
-    return t
+        raise ParseError(f"unexpected {tok.text!r} after {what}", tok.pos)
+    return out
+
+
+def parse_term(src: str, constants: frozenset[str] = frozenset()) -> Term:
+    """Parse a justification term; raises ParseError with a position,
+    also for input nested too deeply to parse."""
+    return _parse(src, constants, _Parser.term, "term")
 
 
 def parse_formula(src: str, constants: frozenset[str] = frozenset()) -> Formula:
-    """Parse a formula; raises ParseError with a position."""
-    p = _Parser(src, constants)
-    a = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
-    return a
+    """Parse a formula; raises ParseError with a position, also for input
+    nested too deeply to parse."""
+    return _parse(src, constants, _Parser.formula, "formula")

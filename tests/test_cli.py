@@ -59,6 +59,16 @@ def test_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "(" * 600 + "p" + ")" * 600),
+    ("parse", "--term", "(" * 600 + "x" + ")" * 600),
+])
+def test_deep_nesting_exit_2(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert "nested too deeply" in err
+
+
 def test_usage_error_exit_2(capsys):
     rc, _, _ = run(capsys, "no-such-command")
     assert rc == 2

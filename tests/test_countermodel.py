@@ -3,6 +3,7 @@ axioms, and the validity gate on everything returned."""
 
 import pytest
 
+from jlogic import semantics
 from jlogic.proof_system import ConstantSpecification
 from jlogic.semantics import (
     evaluate_truth,
@@ -98,3 +99,28 @@ def test_evidence_budget_zero_still_refutes_propositional():
     lem = parse_formula("p \\/ (p -> _|_)")
     found = find_countermodel(lem, 2, evidence_budget=0)
     assert found is not None
+
+
+@pytest.mark.parametrize("src, calls", [
+    ("x:(p -> q) -> y:p -> x.y:q", 0),  # theorem: nothing to return
+    ("x:p -> p", 0),                    # false only where not factive
+    ("p \\/ (p -> _|_)", 1),            # only the returned model
+])
+def test_search_validates_only_the_result(monkeypatch, src, calls):
+    seen = []
+    real = semantics.validate_model
+
+    def counting(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(semantics, "validate_model", counting)
+    find_countermodel(parse_formula(src), 2)
+    assert len(seen) == calls
+
+
+def test_invalid_result_is_an_error(monkeypatch):
+    bad = semantics.CheckVerdict(False, ())
+    monkeypatch.setattr(semantics, "validate_model", lambda m: bad)
+    with pytest.raises(AssertionError):
+        find_countermodel(parse_formula("p"), 1)

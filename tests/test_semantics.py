@@ -21,10 +21,13 @@ from jlogic.semantics import FileFormatError
 from jlogic.syntax import (
     App,
     Atom,
+    And,
     Bang,
     FALSUM,
+    Falsum,
     Implies,
     Just,
+    Or,
     Sum,
     Variable,
     parse_formula,
@@ -206,6 +209,8 @@ def test_universe_not_closed():
         m.evidence(x, "w0")
     with pytest.raises(ValueError):
         evaluate_truth(m, "nowhere", p)
+    with pytest.raises(UniverseNotClosed):
+        evaluate_truth(m, "w0", Just(y, p))
 
 
 # --- truth ------------------------------------------------------------------
@@ -310,10 +315,14 @@ def test_model_file_round_trip():
 
 
 def test_model_file_round_trip_countermodels():
-    for src in ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p"]:
+    # the last one has _|_ in an evidence line
+    for src in ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p", "x:(p -> _|_) -> p"]:
         found = find_countermodel(parse_formula(src), 2)
         assert found is not None
-        assert parse_model(print_model(found.model)) == found.model
+        back = parse_model(print_model(found.model))
+        assert back == found.model
+        assert validate_model(back).ok
+        assert not evaluate_truth(back, found.world, parse_formula(src))
 
 
 def test_model_file_errors():
@@ -352,3 +361,34 @@ def test_random_models_monotone(seed):
         for (w, v) in m.order:
             if evaluate_truth(m, w, a):
                 assert evaluate_truth(m, v, a)
+
+
+def reference_truth(m, w, a):
+    """Truth at one world straight from the definition, without caching."""
+    if isinstance(a, Atom):
+        return a.name in m.atoms[w]
+    if isinstance(a, Falsum):
+        return False
+    if isinstance(a, And):
+        return reference_truth(m, w, a.left) and reference_truth(m, w, a.right)
+    if isinstance(a, Or):
+        return reference_truth(m, w, a.left) or reference_truth(m, w, a.right)
+    if isinstance(a, Implies):
+        return all(
+            not reference_truth(m, v, a.left) or reference_truth(m, v, a.right)
+            for v in m.worlds if (w, v) in m.order
+        )
+    return a.body in m.evidence(a.term, w)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_truth_sets_match_reference(seed):
+    rng = random.Random(seed)
+    universe = [parse_formula(s) for s in [
+        "p \\/ q -> r", "x:p /\\ (q -> _|_)", "((p -> q) -> p) -> p",
+        "y:(p -> q) -> x:p -> y.x:q", "!x:x:p \\/ x + y:r",
+    ]]
+    m = random_valid_model(rng, universe, {x, y}, CS, max_worlds=5)
+    for a in m.formula_universe:
+        for w in m.worlds:
+            assert evaluate_truth(m, w, a) == reference_truth(m, w, a), (a, w)
