@@ -66,10 +66,24 @@ class FileFormatError(Exception):
 class _MetaF(Formula):
     name: str
 
+    __hash__ = Formula.__hash__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("_MetaF", name))
+
 
 @dataclass(frozen=True)
 class _MetaT(Term):
     name: str
+
+    __hash__ = Term.__hash__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("_MetaT", name))
 
 
 _A, _B, _C = _MetaF("A"), _MetaF("B"), _MetaF("C")

@@ -14,16 +14,33 @@ identifier is a justification variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Nodes are frozen dataclasses with structural equality.  Each constructor
+# stores the node's hash, computed from its children's stored hashes, so
+# hashing costs O(1) and never recurses.  Every node class names
+# ``__hash__`` itself, since ``dataclass`` would otherwise give it a
+# recursive hash over its fields.  ``__reduce__`` rebuilds a node
+# through its constructor, so an unpickled node hashes under the loading
+# process's hash seed.  ``_key`` holds the printed form once
+# ``formula_key``/``term_key`` has asked for it.
 
 
 @dataclass(frozen=True)
 class Term:
+    _key = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def __str__(self) -> str:
         return print_term(self)
 
@@ -32,10 +49,24 @@ class Term:
 class Constant(Term):
     name: str
 
+    __hash__ = Term.__hash__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("Constant", name))
+
 
 @dataclass(frozen=True)
 class Variable(Term):
     name: str
+
+    __hash__ = Term.__hash__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("Variable", name))
 
 
 @dataclass(frozen=True)
@@ -43,20 +74,51 @@ class App(Term):
     left: Term
     right: Term
 
+    __hash__ = Term.__hash__
+
+    def __init__(self, left: Term, right: Term):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash(("App", left._hash, right._hash))
+
 
 @dataclass(frozen=True)
 class Sum(Term):
     left: Term
     right: Term
 
+    __hash__ = Term.__hash__
+
+    def __init__(self, left: Term, right: Term):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash(("Sum", left._hash, right._hash))
+
 
 @dataclass(frozen=True)
 class Bang(Term):
     inner: Term
 
+    __hash__ = Term.__hash__
+
+    def __init__(self, inner: Term):
+        d = self.__dict__
+        d["inner"] = inner
+        d["_hash"] = hash(("Bang", inner._hash))
+
 
 @dataclass(frozen=True)
 class Formula:
+    _key = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def __str__(self) -> str:
         return print_formula(self)
 
@@ -65,10 +127,20 @@ class Formula:
 class Atom(Formula):
     name: str
 
+    __hash__ = Formula.__hash__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("Atom", name))
+
 
 @dataclass(frozen=True)
 class Falsum(Formula):
-    pass
+    __hash__ = Formula.__hash__
+
+    def __init__(self):
+        self.__dict__["_hash"] = hash("Falsum")
 
 
 @dataclass(frozen=True)
@@ -76,11 +148,27 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def __init__(self, left: Formula, right: Formula):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash(("And", left._hash, right._hash))
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __init__(self, left: Formula, right: Formula):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash(("Or", left._hash, right._hash))
 
 
 @dataclass(frozen=True)
@@ -88,11 +176,27 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def __init__(self, left: Formula, right: Formula):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash(("Implies", left._hash, right._hash))
+
 
 @dataclass(frozen=True)
 class Just(Formula):
     term: Term
     body: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __init__(self, term: Term, body: Formula):
+        d = self.__dict__
+        d["term"] = term
+        d["body"] = body
+        d["_hash"] = hash(("Just", term._hash, body._hash))
 
 
 FALSUM = Falsum()
@@ -246,12 +350,19 @@ def print_formula(a: Formula, full_parens: bool = False) -> str:
 
 
 def formula_key(a: Formula) -> str:
-    """Sort key: the printed form (injective on formulas)."""
-    return print_formula(a)
+    """Sort key: the printed form (injective on formulas), printed once
+    per node and kept on it."""
+    key = a._key
+    if key is None:
+        key = a.__dict__["_key"] = print_formula(a)
+    return key
 
 
 def term_key(t: Term) -> str:
-    return print_term(t)
+    key = t._key
+    if key is None:
+        key = t.__dict__["_key"] = print_term(t)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +516,9 @@ class _Parser:
         return a
 
     def just(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "FALSUM" or (tok.kind == "IDENT" and is_atom_name(tok.text)):
+            return self.atomic()
         # A leading "(" may open a term or a formula; try the term route
         # first and fall back unless a ":" commits us to it.
         mark = self.i

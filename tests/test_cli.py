@@ -2,12 +2,15 @@
 command line tool."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import jlogic
 from jlogic.cli import main
 
 PROOF = """hypotheses:
@@ -32,6 +35,16 @@ def run(capsys, *argv):
 
 def universe(name):
     return str(resources.files("jlogic") / "universes" / name)
+
+
+def run_subprocess(hash_seed, *argv):
+    """Run this jlogic's CLI in a fresh interpreter under a fixed hash seed."""
+    src = str(Path(jlogic.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "jlogic.cli", *argv],
+                          env=env, capture_output=True)
 
 
 def test_parse_formula(capsys):
@@ -198,15 +211,33 @@ def test_canonical_cap_exit_1(capsys):
         ("canonical", "UNIVERSE:canon-implication.txt"),
         ("saturate", "UNIVERSE:sat-introspection.txt"),
         ("parse", "x:(p -> q) -> (y:p -> x.y:q)", "--format", "json"),
+        # every other shipped universe, through the command it is made for
+        ("canonical", "UNIVERSE:canon-atom.txt"),
+        ("canonical", "UNIVERSE:canon-disjunction.txt"),
+        ("canonical", "UNIVERSE:canon-evidence.txt"),
+        ("saturate", "UNIVERSE:sat-application.txt"),
+        ("saturate", "UNIVERSE:sat-disjunction.txt"),
+        ("saturate", "UNIVERSE:sat-evidence.txt"),
+        ("saturate", "UNIVERSE:sat-peirce.txt"),
     ],
 )
 def test_byte_identical_runs(argv):
+    # two hash seeds, so no output may depend on set or dict order
     argv = [
         universe(a.split(":", 1)[1]) if a.startswith("UNIVERSE:") else a
         for a in argv
     ]
-    cmd = [sys.executable, "-m", "jlogic.cli", *argv]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = run_subprocess(0, *argv)
+    second = run_subprocess(1, *argv)
+    assert first.returncode in (0, 1), first.stderr
+    assert first.stdout
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+def test_deep_countermodel_goal():
+    # a 900-deep theorem p -> p -> ... -> p: parsed, searched, no countermodel
+    result = run_subprocess(0, "countermodel", " -> ".join(["p"] * 900))
+    assert result.returncode == 1
+    assert b"none found within bounds" in result.stdout
+    assert b"Traceback" not in result.stderr

@@ -1,8 +1,16 @@
 """Parser, printer, and structural helpers."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jlogic
 from jlogic.syntax import (
     And,
     App,
@@ -17,6 +25,7 @@ from jlogic.syntax import (
     ParseError,
     Sum,
     Variable,
+    formula_key,
     formula_size,
     parse_formula,
     parse_term,
@@ -24,6 +33,7 @@ from jlogic.syntax import (
     print_term,
     subformulas,
     subterms,
+    term_key,
     term_size,
 )
 
@@ -157,12 +167,16 @@ formulas = st.recursive(
 
 @given(terms)
 def test_term_round_trip(t):
-    assert parse_term(print_term(t)) == t
+    parsed = parse_term(print_term(t))
+    assert parsed == t
+    assert hash(parsed) == hash(t)
 
 
 @given(formulas)
 def test_formula_round_trip(a):
-    assert parse_formula(print_formula(a)) == a
+    parsed = parse_formula(print_formula(a))
+    assert parsed == a
+    assert hash(parsed) == hash(a)
 
 
 @given(formulas)
@@ -188,3 +202,84 @@ def test_constant_requires_declaration():
     assert parse_term("c2") == Constant("c2")
     assert parse_term("kb") == Variable("kb")
     assert parse_term("kb", constants=frozenset({"kb"})) == Constant("kb")
+
+
+def test_atoms_parse_without_exceptions(monkeypatch):
+    # an atom goes straight to the formula route; no term attempt fails
+    made = []
+    init = ParseError.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParseError, "__init__", counting_init)
+    src = " /\\ ".join(f"p{i} \\/ _|_" for i in range(200)) + " -> x:q"
+    a = parse_formula(src)
+    assert made == []
+    assert print_formula(a) == src
+
+
+# --- stored hashes and cached keys -------------------------------------------
+
+
+def deep_chain(depth):
+    a = p
+    for _ in range(depth):
+        a = Implies(p, a)
+    return a
+
+
+def test_deep_hash_does_not_recurse():
+    assert hash(deep_chain(3000)) == hash(deep_chain(3000))
+
+
+def test_constant_and_variable_differ():
+    assert Constant("x") != Variable("x")
+
+
+@given(formulas, terms)
+def test_keys_are_printed_forms(a, t):
+    for _ in range(2):  # before and after the key is cached
+        assert formula_key(a) == print_formula(a)
+        assert term_key(t) == print_term(t)
+
+
+def test_nodes_stay_frozen():
+    a = Implies(p, q)
+    formula_key(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.left = q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.name = "y"
+    assert a == Implies(p, q)
+    assert repr(a) == "Implies(left=Atom(name='p'), right=Atom(name='q'))"
+
+
+def python_with_hash_seed(seed, code, **kwargs):
+    src = str(Path(jlogic.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": str(seed),
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True, **kwargs)
+
+
+def test_pickle_across_hash_seeds():
+    src = "x:(p -> q) -> y:p -> (x.y + !c1):q \\/ _|_"
+    dumped = python_with_hash_seed(0, (
+        "import pickle, sys\n"
+        "from jlogic.syntax import parse_formula\n"
+        f"a = parse_formula({src!r})\n"
+        "hash(a)\n"
+        "sys.stdout.buffer.write(pickle.dumps(a))\n"
+    )).stdout
+    assert pickle.loads(dumped) == parse_formula(src)
+    checked = python_with_hash_seed(1, (
+        "import pickle, sys\n"
+        "from jlogic.syntax import parse_formula\n"
+        "a = pickle.loads(sys.stdin.buffer.read())\n"
+        f"b = parse_formula({src!r})\n"
+        "print(a == b, hash(a) == hash(b), {a: 1}.get(b))\n"
+    ), input=dumped)
+    assert checked.stdout.split() == [b"True", b"True", b"1"]
