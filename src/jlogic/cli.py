@@ -272,6 +272,20 @@ def cmd_canonical(args, stdout) -> int:
     return 0
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from low to high, or at least low when
+    high is None.  Out-of-range values are usage errors (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < low or high is not None and value > high:
+            bound = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jlogic",
@@ -323,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("countermodel", cmd_countermodel,
             "search for a finite model refuting a formula")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--budget", type=int, default=6)
+    p.add_argument("--max-worlds", type=_int_in(1, 5), default=3)
+    p.add_argument("--budget", type=_int_in(0), default=6)
     p.add_argument("--cs", default=None)
 
     p = add("saturate", cmd_saturate,
@@ -332,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("universe", help="universe file with base: and goal:")
     p.add_argument("--goal", default=None,
                    help="override the goal from the file")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_in(0), default=4)
     p.add_argument("--cs", default=None)
 
     p = add("canonical", cmd_canonical,
             "build the bounded canonical model of a universe")
     p.add_argument("universe")
     p.add_argument("--out", default="-")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_in(0), default=4)
     p.add_argument("--cap", type=int, default=14)
     p.add_argument("--cs", default=None)
 

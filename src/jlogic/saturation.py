@@ -68,9 +68,6 @@ class FormulaUniverse:
         closed = close_subformulas(formulas)
         return cls(tuple(sorted(closed, key=formula_key)))
 
-    def index(self, a: Formula) -> int:
-        return self.formulas.index(a)
-
     def __contains__(self, a: Formula) -> bool:
         return a in self.formulas
 
@@ -191,12 +188,7 @@ def _certificates_unknown(th: BoundedTheory) -> bool:
     return any(isinstance(c, Unknown) for c in th.certificates.values())
 
 
-def check_prime(
-    th: BoundedTheory,
-    cs: ConstantSpecification,
-    max_worlds: int = 3,
-    evidence_budget: int = 6,
-) -> PrimeVerdict:
+def check_prime(th: BoundedTheory, cs: ConstantSpecification) -> PrimeVerdict:
     """Primeness of th.members relative to its universe: consistency,
     the disjunction property, and relative deductive closure via oracle
     queries members |- A for every universe formula A.  The verdict is
@@ -217,7 +209,7 @@ def check_prime(
             return PrimeVerdict(
                 "not_prime", f"disjunction property fails for {print_formula(a)}"
             )
-    oracle = DerivabilityOracle(cs, th.oracle_bound, max_worlds, evidence_budget)
+    oracle = DerivabilityOracle(cs, th.oracle_bound)
     unknown_reason = None
     for a in th.universe:
         cert = oracle.query(members, a)
@@ -241,15 +233,13 @@ def split_disjunction(
     goal: Formula,
     cs: ConstantSpecification,
     depth: int = 4,
-    max_worlds: int = 3,
-    evidence_budget: int = 6,
 ) -> str:
     """Pick a disjunct that can be added without deriving the goal:
     "left" or "right" with a semantic non-derivability certificate for
     the chosen branch, left preferred; "unknown" when neither branch has
     one."""
     n = frozenset(n)
-    oracle = DerivabilityOracle(cs, depth, max_worlds, evidence_budget)
+    oracle = DerivabilityOracle(cs, depth)
     if isinstance(oracle.query(n | {a}, goal), RefutedBySemantics):
         return "left"
     if isinstance(oracle.query(n | {b}, goal), RefutedBySemantics):
@@ -263,8 +253,6 @@ def prime_saturate(
     u: FormulaUniverse,
     cs: ConstantSpecification,
     k: int,
-    max_worlds: int = 3,
-    evidence_budget: int = 6,
 ) -> BoundedTheory:
     """Saturate n toward a prime set avoiding the goal, following the
     universe enumeration: each candidate is added exactly when the oracle
@@ -275,7 +263,7 @@ def prime_saturate(
     members = frozenset(n)
     if not members <= frozenset(u.formulas):
         raise ValueError("base is not inside the universe")
-    oracle = DerivabilityOracle(cs, k, max_worlds, evidence_budget)
+    oracle = DerivabilityOracle(cs, k)
     first = oracle.query(members, goal)
     if isinstance(first, Derivable):
         raise FailedPrecondition(
@@ -315,9 +303,6 @@ class CanonicalModel:
     theories: tuple[BoundedTheory, ...]  # parallel to model.worlds
     verdicts: tuple[PrimeVerdict, ...]
     excluded_unknown: tuple[frozenset[Formula], ...]  # candidate sets, unresolved
-
-    def world_name(self, i: int) -> str:
-        return self.model.worlds[i]
 
 
 def _one_step_closed(
@@ -380,8 +365,6 @@ def bounded_canonical_model(
     u: FormulaUniverse,
     cs: ConstantSpecification,
     k: int,
-    max_worlds: int = 3,
-    evidence_budget: int = 6,
     cap: int = 14,
 ) -> CanonicalModel:
     """Canonical-model fragment over u: worlds are the certified-prime
@@ -412,7 +395,7 @@ def bounded_canonical_model(
     excluded: list[frozenset[Formula]] = []
     for s in candidates:
         th = BoundedTheory(u, s, k)
-        verdict = check_prime(th, cs, max_worlds, evidence_budget)
+        verdict = check_prime(th, cs)
         if verdict.status == "prime":
             worlds.append(th)
             verdicts.append(verdict)

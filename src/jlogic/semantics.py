@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from jlogic.proof_system import ConstantSpecification, FileFormatError
 from jlogic.syntax import (
@@ -375,57 +377,59 @@ class Countermodel:
     world: str
 
 
-_POSET_CACHE: dict[int, list[frozenset[tuple[int, int]]]] = {}
+_POSET_CACHE: dict[int, list[tuple]] = {}
 
 
-def _canonical_posets(n: int) -> list[frozenset[tuple[int, int]]]:
-    """All partial orders on n elements up to isomorphism, each in its
-    canonical labeling, sorted by canonical relation code."""
+def _canonical_posets(n: int) -> list[tuple]:
+    """All partial orders on n worlds up to isomorphism, each in its
+    canonical labelling, sorted by canonical code, as entries (up, upsets,
+    minima, costs).  up[i] is the mask of world i and the worlds above it;
+    upsets are the up-closed masks in increasing order, minima their
+    minimal worlds, and costs how many minimal worlds each has.
+
+    Built from world n-1 down, up[i] is 1 << i or'ed with the up[j] of
+    some worlds j > i: such an order is transitive and antisymmetric by
+    construction, and every poset has one (a linear extension).  The
+    canonical code is the least sum of up[i] << (i * n) over relabellings."""
     if n in _POSET_CACHE:
         return _POSET_CACHE[n]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    perms = list(itertools.permutations(range(n)))
-
-    def code(rel: frozenset) -> int:
-        out = 0
-        for (i, j) in rel:
-            out |= 1 << (i * n + j)
-        return out
-
-    seen = {}
-    for bits in range(1 << len(pairs)):
-        rel = {(i, i) for i in range(n)}
-        rel |= {pairs[k] for k in range(len(pairs)) if bits >> k & 1}
-        if any((b, a) in rel and a != b for (a, b) in rel):
-            continue
-        if any((a, d) not in rel
-               for (a, b) in rel for (c, d) in rel if b == c):
-            continue
-        best = min(
-            code(frozenset((p[i], p[j]) for (i, j) in rel)) for p in perms
+    orders = {()}  # up[i + 1:] for the worlds built so far
+    for i in reversed(range(n)):
+        orders = {
+            (reduce(or_, itertools.compress(tail, pick), 1 << i),) + tail
+            for tail in orders
+            for pick in itertools.product((0, 1), repeat=len(tail))
+        }
+    images = [
+        (p, [sum(1 << p[j] for j in range(n) if m >> j & 1) for m in range(1 << n)])
+        for p in itertools.permutations(range(n))
+    ]
+    codes = {min(sum(image[m] << (p[i] * n) for i, m in enumerate(up))
+                 for p, image in images) for up in orders}
+    out = []
+    for code in sorted(codes):
+        up = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
+        upsets = tuple(s for s in range(1 << n)
+                       if all(up[i] & ~s == 0 for i in range(n) if s >> i & 1))
+        below = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+        minima = tuple(
+            tuple(i for i in range(n) if s & below[i] == 1 << i) for s in upsets
         )
-        if best not in seen:
-            canonical = frozenset(
-                (i, j) for i in range(n) for j in range(n)
-                if best >> (i * n + j) & 1
-            )
-            seen[best] = canonical
-    out = [seen[c] for c in sorted(seen)]
+        out.append((up, upsets, minima, tuple(map(len, minima))))
     _POSET_CACHE[n] = out
     return out
 
 
-def _upsets(n: int, rel: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1 << n):
-        s = {i for i in range(n) if mask >> i & 1}
-        if all(j in s for i in s for (i2, j) in rel if i2 == i):
-            out.append(frozenset(s))
-    return out
-
-
-def _minima(s: frozenset[int], rel) -> list[int]:
-    return sorted(i for i in s if not any((j, i) in rel and j != i for j in s))
+def _seed_assignments(costs, k: int, budget: int):
+    """Every k-tuple of indices into costs whose costs sum to at most
+    budget, in the order of itertools.product."""
+    if k == 0:
+        yield ()
+        return
+    for s, cost in enumerate(costs):
+        if cost <= budget:
+            for rest in _seed_assignments(costs, k - 1, budget - cost):
+                yield (s,) + rest
 
 
 def find_countermodel(
@@ -454,6 +458,8 @@ def find_countermodel(
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
+    if evidence_budget < 0:
+        raise ValueError("the evidence budget must be at least 0")
     cs = cs if cs is not None else ConstantSpecification.default_schematic()
     atom_names = sorted(formula_atoms(a))
     pool = sorted(
@@ -465,21 +471,14 @@ def find_countermodel(
 
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        for rel in _canonical_posets(n):
-            order = frozenset((names[i], names[j]) for (i, j) in rel)
-            up = [sum(1 << j for (i2, j) in rel if i2 == i) for i in range(n)]
-            ups = _upsets(n, rel)
-            assignments = []
-            for combo in itertools.product(ups, repeat=len(pool)):
-                seeds = sum(len(_minima(s, rel)) for s in combo)
-                if seeds <= evidence_budget:
-                    assignments.append(combo)
-
-            closures = {}
-            for combo in assignments:
+        for up, upsets, minima, costs in _canonical_posets(n):
+            order = frozenset((names[i], names[j])
+                              for i in range(n) for j in range(n) if up[i] >> j & 1)
+            closures = []
+            for combo in _seed_assignments(costs, len(pool), evidence_budget):
                 base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
                 for (t, b), s in zip(pool, combo):
-                    for i in _minima(s, rel):
+                    for i in minima[s]:
                         base[names[i]].setdefault(t, set()).add(b)
                 derived = _close(names, order, base, t_universe, f_universe, cs)
                 # factivity: each formula must hold wherever it is evidenced
@@ -488,14 +487,11 @@ def find_countermodel(
                     for i, w in enumerate(names):
                         for f in per_world[w]:
                             evidenced[f] = evidenced.get(f, 0) | 1 << i
-                closures[combo] = (base, derived, evidenced)
+                closures.append((base, derived, evidenced))
 
-            for valuation in itertools.product(ups, repeat=len(atom_names)):
-                atoms = {
-                    p: sum(1 << i for i in s) for p, s in zip(atom_names, valuation)
-                }
-                for combo in assignments:
-                    base, derived, evidenced = closures[combo]
+            for valuation in itertools.product(upsets, repeat=len(atom_names)):
+                atoms = dict(zip(atom_names, valuation))
+                for base, derived, evidenced in closures:
                     truth_set = _evaluator(names, up, atoms, derived)
                     refuted = ~truth_set(a) & ((1 << n) - 1)
                     if not refuted or any(
@@ -507,7 +503,7 @@ def find_countermodel(
                         order,
                         {
                             names[i]: frozenset(
-                                p for p, s in zip(atom_names, valuation) if i in s
+                                p for p, s in atoms.items() if s >> i & 1
                             )
                             for i in range(n)
                         },

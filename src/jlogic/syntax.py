@@ -278,8 +278,6 @@ def formula_atoms(a: Formula) -> frozenset[str]:
     for f in subformulas(a):
         if isinstance(f, Atom):
             out.add(f.name)
-        elif isinstance(f, Just):
-            out |= formula_atoms(f.body)
     return frozenset(out)
 
 

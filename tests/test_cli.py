@@ -164,6 +164,25 @@ def test_countermodel_none_found(capsys):
     assert out == "none found within bounds\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("countermodel", "p", "--max-worlds", "0"),
+    ("countermodel", "p", "--max-worlds", "-1"),
+    ("countermodel", "p", "--max-worlds", "6"),
+    ("countermodel", "p", "--budget", "-1"),
+    ("saturate", "UNIVERSE:sat-evidence.txt", "--depth", "-1"),
+    ("canonical", "UNIVERSE:canon-atom.txt", "--depth", "-1"),
+])
+def test_out_of_range_bounds_exit_2(capsys, argv):
+    argv = [
+        universe(a.split(":", 1)[1]) if a.startswith("UNIVERSE:") else a
+        for a in argv
+    ]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be" in err
+
+
 def test_saturate_prime_exit_0(capsys):
     rc, out, _ = run(capsys, "saturate", universe("sat-evidence.txt"))
     assert rc == 0

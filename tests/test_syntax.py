@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jlogic
+from jlogic import syntax
 from jlogic.syntax import (
     And,
     App,
@@ -25,6 +26,7 @@ from jlogic.syntax import (
     ParseError,
     Sum,
     Variable,
+    formula_atoms,
     formula_key,
     formula_size,
     parse_formula,
@@ -218,6 +220,23 @@ def test_atoms_parse_without_exceptions(monkeypatch):
     a = parse_formula(src)
     assert made == []
     assert print_formula(a) == src
+
+
+def test_formula_atoms_walks_once(monkeypatch):
+    # subformulas already reaches the bodies of t:A; no walk per evidence level
+    calls = []
+    real = syntax.subformulas
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(syntax, "subformulas", counting)
+    a = p
+    for _ in range(20):
+        a = Just(x, a)
+    assert formula_atoms(a) == {"p"}
+    assert len(calls) == 1
 
 
 # --- stored hashes and cached keys -------------------------------------------
