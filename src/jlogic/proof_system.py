@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from jlogic.syntax import (
     And,
     App,
+    Atom,
     Bang,
     Constant,
     FALSUM,
+    Falsum,
     Formula,
     Implies,
     Just,
@@ -59,14 +61,15 @@ class FileFormatError(Exception):
 #
 # Schemas are formula patterns over private metavariable nodes; matching a
 # concrete formula is first-order unification with all variables on the
-# pattern side.
+# pattern side.  AXIOM_SCHEMAS is the only statement of the schemas: each
+# is compiled once, at import, into a matcher closure, and every schema is
+# an implication, so a formula's candidate tags are looked up by the
+# constructors of its antecedent and consequent.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MetaF(Formula):
     name: str
-
-    __hash__ = Formula.__hash__
 
     def __init__(self, name: str):
         d = self.__dict__
@@ -74,11 +77,9 @@ class _MetaF(Formula):
         d["_hash"] = hash(("_MetaF", name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MetaT(Term):
     name: str
-
-    __hash__ = Term.__hash__
 
     def __init__(self, name: str):
         d = self.__dict__
@@ -118,38 +119,73 @@ AXIOM_SCHEMAS: dict[str, Formula] = {
 AXIOM_TAGS: tuple[str, ...] = tuple(AXIOM_SCHEMAS)
 
 
-def _match(pat, tgt, env: dict) -> bool:
-    if isinstance(pat, _MetaF):
-        if not isinstance(tgt, Formula):
+def _compile(pat, bound: set):
+    """A matcher for one pattern node: a function (target, env) -> bool
+    that checks the target's constructor and binds or compares
+    metavariables in env.  bound holds the metavariables that an earlier
+    part of the pattern (left before right, term before body) binds."""
+    if isinstance(pat, (_MetaF, _MetaT)):
+        name = pat.name
+        sort = Formula if isinstance(pat, _MetaF) else Term
+        if name in bound:
+            return lambda tgt, env: env[name] is tgt or (
+                isinstance(tgt, sort) and env[name] == tgt
+            )
+
+        bound.add(name)
+
+        def bind(tgt, env):
+            if isinstance(tgt, sort):
+                env[name] = tgt
+                return True
             return False
-        bound = env.get(pat.name)
-        if bound is None:
-            env[pat.name] = tgt
-            return True
-        return bound == tgt
-    if isinstance(pat, _MetaT):
-        if not isinstance(tgt, Term):
-            return False
-        bound = env.get(pat.name)
-        if bound is None:
-            env[pat.name] = tgt
-            return True
-        return bound == tgt
-    if type(pat) is not type(tgt):
-        return False
+
+        return bind
+    cls = type(pat)
     if isinstance(pat, (And, Or, Implies, App, Sum)):
-        return _match(pat.left, tgt.left, env) and _match(pat.right, tgt.right, env)
+        left, right = _compile(pat.left, bound), _compile(pat.right, bound)
+        return lambda tgt, env: (
+            type(tgt) is cls and left(tgt.left, env) and right(tgt.right, env)
+        )
     if isinstance(pat, Just):
-        return _match(pat.term, tgt.term, env) and _match(pat.body, tgt.body, env)
+        term, body = _compile(pat.term, bound), _compile(pat.body, bound)
+        return lambda tgt, env: (
+            type(tgt) is cls and term(tgt.term, env) and body(tgt.body, env)
+        )
     if isinstance(pat, Bang):
-        return _match(pat.inner, tgt.inner, env)
-    return pat == tgt  # Falsum, Atom, Constant, Variable
+        inner = _compile(pat.inner, bound)
+        return lambda tgt, env: type(tgt) is cls and inner(tgt.inner, env)
+    return lambda tgt, env: type(tgt) is cls and tgt == pat  # Falsum, Atom, ...
+
+
+_MATCHERS = {tag: _compile(pat, set()) for tag, pat in AXIOM_SCHEMAS.items()}
+
+
+# (antecedent class, consequent class) -> candidate tags in declaration
+# order; a metavariable side accepts every class.  The classes are every
+# formula constructor, the metavariable included (a schema is an instance
+# of itself), so a missing key means the sides are not formulas.
+_SHAPES = (Atom, Falsum, And, Or, Implies, Just, _MetaF)
+_BY_SHAPE = {
+    (lc, rc): tuple(
+        tag for tag, pat in AXIOM_SCHEMAS.items()
+        if type(pat.left) in (lc, _MetaF) and type(pat.right) in (rc, _MetaF)
+    )
+    for lc in _SHAPES
+    for rc in _SHAPES
+}
+
+
+def _candidates(a) -> tuple[str, ...]:
+    if type(a) is not Implies:
+        return ()
+    return _BY_SHAPE.get((type(a.left), type(a.right)), ())
 
 
 def match_schema(tag: str, a: Formula) -> dict | None:
     """Metavariable assignment if a instantiates the schema, else None."""
     env: dict = {}
-    if _match(AXIOM_SCHEMAS[tag], a, env):
+    if _MATCHERS[tag](a, env):
         return env
     return None
 
@@ -157,12 +193,13 @@ def match_schema(tag: str, a: Formula) -> dict | None:
 def match_axiom(a: Formula) -> frozenset[str]:
     """All schema tags that a instantiates (matching is purely structural,
     so one formula can match several schemas)."""
-    return frozenset(tag for tag in AXIOM_TAGS if match_schema(tag, a) is not None)
+    return frozenset(tag for tag in _candidates(a) if _MATCHERS[tag](a, {}))
 
 
 def first_axiom_tag(a: Formula) -> str | None:
-    for tag in AXIOM_TAGS:
-        if match_schema(tag, a) is not None:
+    """The first tag, in declaration order, that a instantiates."""
+    for tag in _candidates(a):
+        if _MATCHERS[tag](a, {}):
             return tag
     return None
 
@@ -236,15 +273,25 @@ class ConstantSpecification:
             c for c, _ in self.explicit
         )
 
+    def _entries(self, constant: str) -> tuple:
+        """The schema tags and the explicit instances listed for a
+        constant, from an index by constant name built on first use."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = self.__dict__["_index"] = {}
+            for c, tag in self.schematic:
+                index.setdefault(c, ([], set()))[0].append(tag)
+            for c, inst in self.explicit:
+                index.setdefault(c, ([], set()))[1].add(inst)
+        return index.get(constant, ((), ()))
+
     def covers(self, constant: str, a: Formula) -> bool:
         """True iff (constant, a) is in the specified set."""
-        for c, tag in self.schematic:
-            if c == constant and match_schema(tag, a) is not None:
+        tags, insts = self._entries(constant)
+        for tag in tags:
+            if _MATCHERS[tag](a, {}):
                 return True
-        for c, inst in self.explicit:
-            if c == constant and inst == a:
-                return True
-        return False
+        return a in insts
 
     def constant_for(self, a: Formula) -> str | None:
         """Deterministic choice of a covering constant: schematic entries
@@ -742,7 +789,7 @@ class _Searcher:
             return None
         base = tuple(sorted(hyps, key=formula_key))
 
-        proof = self._base_case(base, goal)
+        proof = self._base_case(base, hyps, goal)
         if proof is None and k > 0:
             proof = self._introduce(base, hyps, goal, k)
         if proof is None and k > 0:
@@ -755,8 +802,8 @@ class _Searcher:
             self.failed[key] = k
         return None
 
-    def _base_case(self, base: tuple, goal: Formula) -> Proof | None:
-        if goal in base:
+    def _base_case(self, base: tuple, hyps: frozenset, goal: Formula) -> Proof | None:
+        if goal in hyps:
             return Proof(base, (ProofStep(goal, Hypothesis(base.index(goal))),))
         tag = first_axiom_tag(goal)
         if tag is not None:

@@ -306,24 +306,20 @@ class CanonicalModel:
 
 
 def _one_step_closed(
-    s: frozenset[Formula], u: FormulaUniverse, cs: ConstantSpecification
+    s: frozenset[Formula], inu: frozenset[Formula], forced: frozenset[Formula],
+    sum_terms: frozenset[Term],
 ) -> bool:
     """Cheap necessary closure conditions: s must already contain every
-    universe formula forced by one derivable step from s (axioms,
-    specification pairs, modus ponens, weakening, the connective
-    introduction/elimination schemas, and the evidence schemas)."""
-    inu = frozenset(u.formulas)
+    formula of the universe inu forced by one derivable step from s
+    (axioms and specification pairs, which are forced from any s and
+    given as forced; modus ponens, weakening, the connective
+    introduction/elimination schemas, and the evidence schemas, where
+    sum_terms are the sums that justify a formula of inu)."""
+    if not forced <= s:
+        return False
     for a in inu:
         if a in s:
             continue
-        if match_axiom(a):
-            return False
-        if (
-            isinstance(a, Just)
-            and isinstance(a.term, Constant)
-            and cs.covers(a.term.name, a.body)
-        ):
-            return False
         if isinstance(a, And) and a.left in s and a.right in s:
             return False
         if isinstance(a, Or) and (a.left in s or a.right in s):
@@ -353,8 +349,8 @@ def _one_step_closed(
                     return False
     for a in s:
         if isinstance(a, Just):
-            for t2 in {f.term for f in inu if isinstance(f, Just)}:
-                if isinstance(t2, Sum) and (t2.left == a.term or t2.right == a.term):
+            for t2 in sum_terms:
+                if t2.left == a.term or t2.right == a.term:
                     widened = Just(t2, a.body)
                     if widened in inu and widened not in s:
                         return False
@@ -376,6 +372,18 @@ def bounded_canonical_model(
     if len(u) > cap:
         raise CapExceeded(f"universe has {len(u)} formulas; cap is {cap}")
 
+    inu = frozenset(u.formulas)
+    forced = frozenset(
+        a for a in inu
+        if match_axiom(a) or (
+            isinstance(a, Just)
+            and isinstance(a.term, Constant)
+            and cs.covers(a.term.name, a.body)
+        )
+    )
+    sum_terms = frozenset(
+        f.term for f in inu if isinstance(f, Just) and isinstance(f.term, Sum)
+    )
     candidates = []
     for size in range(len(u) + 1):
         for combo in itertools.combinations(range(len(u)), size):
@@ -387,7 +395,7 @@ def bounded_canonical_model(
                 for a in s
             ):
                 continue
-            if _one_step_closed(s, u, cs):
+            if _one_step_closed(s, inu, forced, sum_terms):
                 candidates.append(s)
 
     worlds: list[BoundedTheory] = []

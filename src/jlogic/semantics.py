@@ -181,13 +181,13 @@ def _close(worlds, order, base_evidence, term_universe, formula_universe, cs):
     below = {w: tuple(u for u in worlds if (u, w) in order) for w in worlds}
     derived: dict[Term, dict[str, frozenset[Formula]]] = {}
     for t in sorted(term_universe, key=lambda t: (term_size(t), term_key(t))):
+        if isinstance(t, Constant):
+            covered = [a for a in formula_universe if cs.covers(t.name, a)]
         provisional: dict[str, set[Formula]] = {}
         for w in worlds:
             s = set(base_evidence.get(w, {}).get(t, ()))
             if isinstance(t, Constant):
-                for a in formula_universe:
-                    if cs.covers(t.name, a):
-                        s.add(a)
+                s.update(covered)
             elif isinstance(t, App):
                 left = derived[t.left][w]
                 right = derived[t.right][w]
@@ -329,6 +329,9 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
             for a in sorted(missing, key=formula_key):
                 out.append(Violation("M2", (w, v),
                                      f"{print_term(t)}: {print_formula(a)} lost going up"))
+    constants = [t for t in terms if isinstance(t, Constant)]
+    universe = sorted(m.formula_universe, key=formula_key) if constants else []
+    covered = {t: [a for a in universe if m.cs.covers(t.name, a)] for t in constants}
     for w in m.worlds:
         for t in terms:
             if isinstance(t, App):
@@ -346,8 +349,8 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
                                              f"{print_formula(a)} missing from "
                                              f"{print_term(t)}*"))
             elif isinstance(t, Constant):
-                for a in sorted(m.formula_universe, key=formula_key):
-                    if m.cs.covers(t.name, a) and a not in derived[t][w]:
+                for a in covered[t]:
+                    if a not in derived[t][w]:
                         out.append(Violation("condition-3", (w,),
                                              f"{print_formula(a)} missing from {t.name}*"))
             elif isinstance(t, Bang):
@@ -447,8 +450,9 @@ def find_countermodel(
     upset, with the total seed count capped by evidence_budget.
 
     Each candidate is judged on sets of worlds: the evaluator behind
-    evaluate_truth runs on the evidence closure already built for the
-    seed assignment.  The order laws, M1, M2 and conditions (1)-(4) hold
+    evaluate_truth runs on the evidence closure of the seed assignment,
+    built when the first valuation of a poset meets it and reused by the
+    later ones.  The order laws, M1, M2 and conditions (1)-(4) hold
     by construction (canonical posets, upset valuations, _close), so a
     candidate is kept when a fails at some world and the candidate is
     factive.  Only the model about to be returned goes through
@@ -475,23 +479,29 @@ def find_countermodel(
             order = frozenset((names[i], names[j])
                               for i in range(n) for j in range(n) if up[i] >> j & 1)
             closures = []
-            for combo in _seed_assignments(costs, len(pool), evidence_budget):
-                base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
-                for (t, b), s in zip(pool, combo):
-                    for i in minima[s]:
-                        base[names[i]].setdefault(t, set()).add(b)
-                derived = _close(names, order, base, t_universe, f_universe, cs)
-                # factivity: each formula must hold wherever it is evidenced
-                evidenced: dict[Formula, int] = {}
-                for per_world in derived.values():
-                    for i, w in enumerate(names):
-                        for f in per_world[w]:
-                            evidenced[f] = evidenced.get(f, 0) | 1 << i
-                closures.append((base, derived, evidenced))
 
-            for valuation in itertools.product(upsets, repeat=len(atom_names)):
+            def seeded():
+                """The closure of each seed assignment, built on the first
+                valuation pass and kept in closures for the later ones."""
+                for combo in _seed_assignments(costs, len(pool), evidence_budget):
+                    base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
+                    for (t, b), s in zip(pool, combo):
+                        for i in minima[s]:
+                            base[names[i]].setdefault(t, set()).add(b)
+                    derived = _close(names, order, base, t_universe, f_universe, cs)
+                    # factivity: each formula must hold wherever it is evidenced
+                    evidenced: dict[Formula, int] = {}
+                    for per_world in derived.values():
+                        for i, w in enumerate(names):
+                            for f in per_world[w]:
+                                evidenced[f] = evidenced.get(f, 0) | 1 << i
+                    closures.append((base, derived, evidenced))
+                    yield base, derived, evidenced
+
+            valuations = itertools.product(upsets, repeat=len(atom_names))
+            for k, valuation in enumerate(valuations):
                 atoms = dict(zip(atom_names, valuation))
-                for base, derived, evidenced in closures:
+                for base, derived, evidenced in closures if k else seeded():
                     truth_set = _evaluator(names, up, atoms, derived)
                     refuted = ~truth_set(a) & ((1 << n) - 1)
                     if not refuted or any(

@@ -23,17 +23,64 @@ from typing import Iterator
 #
 # Nodes are frozen dataclasses with structural equality.  Each constructor
 # stores the node's hash, computed from its children's stored hashes, so
-# hashing costs O(1) and never recurses.  Every node class names
-# ``__hash__`` itself, since ``dataclass`` would otherwise give it a
-# recursive hash over its fields.  ``__reduce__`` rebuilds a node
-# through its constructor, so an unpickled node hashes under the loading
-# process's hash seed.  ``_key`` holds the printed form once
-# ``formula_key``/``term_key`` has asked for it.
+# hashing costs O(1) and never recurses.  ``==`` is the hash-first,
+# stack-driven ``_equal`` below, defined on ``Term`` and ``Formula``; the
+# named leaves compare their names directly.  Node classes are declared
+# with ``eq=False`` so that ``dataclass`` gives them neither a recursive
+# ``__eq__`` nor a recursive field hash.
+# ``__reduce__`` rebuilds a node through its constructor, so an unpickled
+# node hashes under the loading process's hash seed.  ``_key`` holds the
+# printed form once ``formula_key``/``term_key`` has asked for it.
+
+_node = dataclass(frozen=True, eq=False)
 
 
-@dataclass(frozen=True)
+def _equal(a, b) -> bool:
+    """Structural equality of two nodes without recursion.  Pairs of
+    composite children go on an explicit stack, names and named leaves
+    compare at once, and a pair with different stored hashes settles the
+    answer without looking further down.  A node's fields are its
+    ``__match_args__``."""
+    if a is b:
+        return True
+    if type(b) is not type(a):
+        return False if isinstance(b, (Term, Formula)) else NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x._hash != y._hash:
+            return False
+        dx, dy = x.__dict__, y.__dict__
+        for name in x.__match_args__:
+            u, v = dx[name], dy[name]
+            if u is v:
+                continue
+            kind = type(u)
+            if kind is not type(v):
+                return False
+            if kind in _NAMED:
+                if u.name != v.name:
+                    return False
+            elif kind is str:
+                if u != v:
+                    return False
+            else:
+                stack.append((u, v))
+    return True
+
+
+def _equal_names(a, b) -> bool:
+    """``==`` for atoms, constants and variables: same type, same name."""
+    if type(b) is type(a):
+        return a.name == b.name
+    return False if isinstance(b, (Term, Formula)) else NotImplemented
+
+
+@_node
 class Term:
     _key = None
+
+    __eq__ = _equal
 
     def __hash__(self) -> int:
         return self._hash
@@ -45,11 +92,12 @@ class Term:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Constant(Term):
     name: str
 
-    __hash__ = Term.__hash__
+    __eq__ = _equal_names
+    __hash__ = Term.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, name: str):
         d = self.__dict__
@@ -57,11 +105,12 @@ class Constant(Term):
         d["_hash"] = hash(("Constant", name))
 
 
-@dataclass(frozen=True)
+@_node
 class Variable(Term):
     name: str
 
-    __hash__ = Term.__hash__
+    __eq__ = _equal_names
+    __hash__ = Term.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, name: str):
         d = self.__dict__
@@ -69,12 +118,10 @@ class Variable(Term):
         d["_hash"] = hash(("Variable", name))
 
 
-@dataclass(frozen=True)
+@_node
 class App(Term):
     left: Term
     right: Term
-
-    __hash__ = Term.__hash__
 
     def __init__(self, left: Term, right: Term):
         d = self.__dict__
@@ -83,12 +130,10 @@ class App(Term):
         d["_hash"] = hash(("App", left._hash, right._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Term):
     left: Term
     right: Term
-
-    __hash__ = Term.__hash__
 
     def __init__(self, left: Term, right: Term):
         d = self.__dict__
@@ -97,11 +142,9 @@ class Sum(Term):
         d["_hash"] = hash(("Sum", left._hash, right._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Bang(Term):
     inner: Term
-
-    __hash__ = Term.__hash__
 
     def __init__(self, inner: Term):
         d = self.__dict__
@@ -109,9 +152,11 @@ class Bang(Term):
         d["_hash"] = hash(("Bang", inner._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Formula:
     _key = None
+
+    __eq__ = _equal
 
     def __hash__(self) -> int:
         return self._hash
@@ -123,11 +168,12 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
-    __hash__ = Formula.__hash__
+    __eq__ = _equal_names
+    __hash__ = Formula.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, name: str):
         d = self.__dict__
@@ -135,20 +181,17 @@ class Atom(Formula):
         d["_hash"] = hash(("Atom", name))
 
 
-@dataclass(frozen=True)
+@_node
 class Falsum(Formula):
-    __hash__ = Formula.__hash__
 
     def __init__(self):
         self.__dict__["_hash"] = hash("Falsum")
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
-
-    __hash__ = Formula.__hash__
 
     def __init__(self, left: Formula, right: Formula):
         d = self.__dict__
@@ -157,12 +200,10 @@ class And(Formula):
         d["_hash"] = hash(("And", left._hash, right._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
-
-    __hash__ = Formula.__hash__
 
     def __init__(self, left: Formula, right: Formula):
         d = self.__dict__
@@ -171,12 +212,10 @@ class Or(Formula):
         d["_hash"] = hash(("Or", left._hash, right._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
-
-    __hash__ = Formula.__hash__
 
     def __init__(self, left: Formula, right: Formula):
         d = self.__dict__
@@ -185,12 +224,10 @@ class Implies(Formula):
         d["_hash"] = hash(("Implies", left._hash, right._hash))
 
 
-@dataclass(frozen=True)
+@_node
 class Just(Formula):
     term: Term
     body: Formula
-
-    __hash__ = Formula.__hash__
 
     def __init__(self, term: Term, body: Formula):
         d = self.__dict__
@@ -200,6 +237,7 @@ class Just(Formula):
 
 
 FALSUM = Falsum()
+_NAMED = (Atom, Constant, Variable)  # the leaves that _equal_names compares
 
 _ATOM_RE = re.compile(r"^(p|q|r|p[0-9]+)$")
 _CONSTANT_RE = re.compile(r"^c[0-9]+$")

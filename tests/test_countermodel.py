@@ -122,6 +122,28 @@ def test_search_validates_only_the_result(monkeypatch, src, calls):
     assert len(seen) == calls
 
 
+def test_closures_are_built_lazily(monkeypatch):
+    # the first candidate at one world (no atoms true, no seeds) refutes
+    # the goal, so the search closes one seed assignment, not every one
+    # within the budget, before validate_model closes the model it returns
+    closes, at_validation = [], []
+    real_close, real_validate = semantics._close, semantics.validate_model
+
+    def counting_close(*args):
+        closes.append(args)
+        return real_close(*args)
+
+    def counting_validate(m):
+        at_validation.append(len(closes))
+        return real_validate(m)
+
+    monkeypatch.setattr(semantics, "_close", counting_close)
+    monkeypatch.setattr(semantics, "validate_model", counting_validate)
+    found = find_countermodel(parse_formula("x:" * 22 + "p"), 1)
+    assert found is not None and found.world == "w0"
+    assert at_validation == [1]
+
+
 def test_invalid_result_is_an_error(monkeypatch):
     bad = semantics.CheckVerdict(False, ())
     monkeypatch.setattr(semantics, "validate_model", lambda m: bad)

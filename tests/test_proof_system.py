@@ -1,8 +1,13 @@
 """Axiom matching, constant specifications, proof checking, file formats."""
 
+import random
+
 import pytest
 
+from jlogic import proof_system
+from jlogic.generators import random_formula, random_schema_instance, random_term
 from jlogic.proof_system import (
+    AXIOM_SCHEMAS,
     AXIOM_TAGS,
     AxiomNecessitation,
     AxiomRule,
@@ -26,10 +31,17 @@ from jlogic.proof_system import (
     HypothesisNotFound,
 )
 from jlogic.syntax import (
+    And,
+    App,
     Atom,
+    Bang,
     Constant,
+    Formula,
     Implies,
     Just,
+    Or,
+    Sum,
+    Term,
     Variable,
     parse_formula,
 )
@@ -78,6 +90,146 @@ def test_first_axiom_tag_order():
     # ties resolve to the earliest tag in the declared order
     assert first_axiom_tag(F("p /\\ p -> p")) == "IPC-4"
     assert first_axiom_tag(F("p -> q")) is None
+
+
+# --- reference matcher -------------------------------------------------------
+#
+# The generic recursive matcher and the linear scans over the fourteen
+# schemas that the compiled matchers and the shape index replace.
+
+
+def reference_match(pat, tgt, env):
+    if isinstance(pat, proof_system._MetaF):
+        if not isinstance(tgt, Formula):
+            return False
+        bound = env.get(pat.name)
+        if bound is None:
+            env[pat.name] = tgt
+            return True
+        return bound == tgt
+    if isinstance(pat, proof_system._MetaT):
+        if not isinstance(tgt, Term):
+            return False
+        bound = env.get(pat.name)
+        if bound is None:
+            env[pat.name] = tgt
+            return True
+        return bound == tgt
+    if type(pat) is not type(tgt):
+        return False
+    if isinstance(pat, (And, Or, Implies, App, Sum)):
+        return (reference_match(pat.left, tgt.left, env)
+                and reference_match(pat.right, tgt.right, env))
+    if isinstance(pat, Just):
+        return (reference_match(pat.term, tgt.term, env)
+                and reference_match(pat.body, tgt.body, env))
+    if isinstance(pat, Bang):
+        return reference_match(pat.inner, tgt.inner, env)
+    return pat == tgt
+
+
+def reference_match_schema(tag, a):
+    env = {}
+    return env if reference_match(AXIOM_SCHEMAS[tag], a, env) else None
+
+
+def reference_match_axiom(a):
+    return frozenset(t for t in AXIOM_TAGS if reference_match_schema(t, a) is not None)
+
+
+def reference_first_axiom_tag(a):
+    for tag in AXIOM_TAGS:
+        if reference_match_schema(tag, a) is not None:
+            return tag
+    return None
+
+
+def reference_covers(cs, constant, a):
+    return any(c == constant and reference_match_schema(tag, a) is not None
+               for c, tag in cs.schematic) or any(
+        c == constant and inst == a for c, inst in cs.explicit)
+
+
+def positions(node, path=()):
+    """Every (path, subformula or subterm) of a node, the node first."""
+    yield path, node
+    for name in node.__match_args__:
+        child = getattr(node, name)
+        if not isinstance(child, str):
+            yield from positions(child, path + (name,))
+
+
+def replace_at(node, path, new):
+    if not path:
+        return new
+    fields = {name: getattr(node, name) for name in node.__match_args__}
+    fields[path[0]] = replace_at(fields[path[0]], path[1:], new)
+    return type(node)(**fields)
+
+
+def near_miss(rng, a):
+    """a with one subformula or subterm replaced by a random one."""
+    path, old = rng.choice(list(positions(a)))
+    if isinstance(old, Term):
+        return replace_at(a, path, random_term(rng, 2))
+    return replace_at(a, path, random_formula(rng, 2))
+
+
+def differential_cases():
+    rng = random.Random("matchers")
+    for tag in AXIOM_TAGS:
+        for _ in range(30):
+            inst = random_schema_instance(rng, tag, rng.randrange(4))
+            yield inst
+            for _ in range(3):
+                yield near_miss(rng, inst)
+    for _ in range(300):
+        yield random_formula(rng, 4)
+        yield Implies(random_formula(rng, 3), random_formula(rng, 3))
+    for tag in AXIOM_TAGS:  # a schema is an instance of itself
+        yield AXIOM_SCHEMAS[tag]
+
+
+EXPLICIT_CS = parse_cs(
+    "c1 := ax IPC-1\nc2 := ax J-T\nc2 := ax IPC-4\nk := x:p -> p\n"
+    "k := p -> q -> p\nc1 := y:q -> q\n"
+)
+
+
+def test_matchers_agree_with_reference():
+    instances = 0
+    for a in differential_cases():
+        for tag in AXIOM_TAGS:
+            assert match_schema(tag, a) == reference_match_schema(tag, a), (tag, a)
+        tags = reference_match_axiom(a)
+        instances += bool(tags)
+        assert match_axiom(a) == tags, a
+        assert first_axiom_tag(a) == reference_first_axiom_tag(a), a
+        for cs in (CS, EXPLICIT_CS):
+            for c in sorted(cs.constants() | {"c9", "k2"}):
+                assert cs.covers(c, a) == reference_covers(cs, c, a), (c, a)
+    assert instances > 14 * 30  # the near-misses include instances too
+
+
+def test_matchers_try_only_candidate_shapes(monkeypatch):
+    tried = []
+    for tag, matcher in list(proof_system._MATCHERS.items()):
+        monkeypatch.setitem(
+            proof_system._MATCHERS, tag,
+            lambda a, env, tag=tag, matcher=matcher: tried.append(tag) or matcher(a, env),
+        )
+    for src in ["p", "x:(p -> q)", "p -> q"]:
+        assert first_axiom_tag(F(src)) is None
+    assert tried == []
+    assert first_axiom_tag(F("p -> q -> p")) == "IPC-1"
+    assert tried == ["IPC-1"]
+
+
+def test_metavariables_differ_from_atoms_and_variables():
+    assert proof_system._MetaF("p") != Atom("p")
+    assert Atom("p") != proof_system._MetaF("p")
+    assert proof_system._MetaT("x") != Variable("x")
+    assert proof_system._MetaF("A") == proof_system._MetaF("A")
 
 
 def test_schematic_cs_covers_all_schemas():

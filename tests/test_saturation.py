@@ -1,12 +1,19 @@
 """Derivability oracle, prime sets, saturation, canonical models, and the
 shipped universe files."""
 
+import random
 from importlib import resources
 
 import pytest
 
-from jlogic.proof_system import ConstantSpecification, Derivable
-from jlogic.semantics import evaluate_truth, validate_model
+from jlogic.generators import random_formula
+from jlogic.proof_system import (
+    ConstantSpecification,
+    Derivable,
+    bounded_derive,
+    check_proof,
+)
+from jlogic.semantics import evaluate_truth, find_countermodel, validate_model
 from jlogic.saturation import (
     BoundedTheory,
     CapExceeded,
@@ -31,6 +38,8 @@ from jlogic.syntax import (
     Just,
     Or,
     Variable,
+    close_subterms,
+    formula_terms,
     parse_formula,
     print_formula,
 )
@@ -202,6 +211,81 @@ def test_shipped_saturations(name, expected):
     assert not any(isinstance(c, Unknown) for c in th.certificates.values())
     assert spec.base <= th.members
     assert spec.goal not in th.members
+
+
+# --- oracle differential ------------------------------------------------------
+
+
+def proves(cert, hyps, goal):
+    """cert is a proof of goal from hyps that checks."""
+    pf = cert.proof
+    return (check_proof(pf, CS).ok and pf.conclusion == goal
+            and set(pf.hypotheses) <= hyps)
+
+
+def holds(m, w, formulas):
+    return all(evaluate_truth(m, w, a) for a in formulas)
+
+
+def universe_specs():
+    """The shipped universes and a seeded sample of small random ones."""
+    root = resources.files("jlogic") / "universes"
+    for path in sorted(root.iterdir(), key=lambda e: e.name):
+        if path.name.endswith(".txt"):
+            yield path.name, parse_universe(path.read_text(), CS)
+    rng = random.Random("oracle-differential")
+    kept = 0
+    while kept < 12:  # universes of up to six formulas keep this quick
+        text = ", ".join(str(random_formula(rng, 2, variables=("x", "y")))
+                         for _ in range(2))
+        spec = parse_universe(f"universe: {text}\n", CS)
+        if len(spec.universe) <= 6:
+            kept += 1
+            yield f"random: {text}", spec
+
+
+def test_oracle_never_proves_and_refutes_one_sequent():
+    """Every certificate of every saturation and primeness check re-checks;
+    no derived sequent has a countermodel within two worlds, and no
+    refuting model falsifies a derived sequent at any world."""
+    derived = refuted = 0
+    for name, spec in universe_specs():
+        goal = spec.goal if spec.goal is not None else FALSUM
+        try:
+            th = prime_saturate(spec.base, goal, spec.universe, CS, 4)
+        except FailedPrecondition:
+            continue
+        for step in th.trace:
+            assert step.certificate is None or step.certificate in \
+                th.certificates.values(), (name, step)
+        check_prime(th, CS)
+        proofs, models = [], []
+        for (hyps, a), cert in th.certificates.items():
+            if isinstance(cert, Derivable):
+                assert proves(cert, hyps, a), (name, print_formula(a))
+                proofs.append((hyps, a))
+            elif isinstance(cert, RefutedBySemantics):
+                m, w = cert.countermodel.model, cert.countermodel.world
+                assert validate_model(m).ok, name
+                assert holds(m, w, hyps) and not holds(m, w, [a]), (name, a)
+                models.append(m)
+        for hyps, a in proofs:
+            chain = a
+            for h in sorted(hyps, key=print_formula, reverse=True):
+                chain = Implies(h, chain)
+            found = find_countermodel(chain, 2)
+            assert found is None or not validate_model(found.model).ok or holds(
+                found.model, found.world, [chain]), (name, print_formula(chain))
+            terms = close_subterms(formula_terms(chain))
+            for m in models:
+                if not terms <= m.term_universe:
+                    continue  # the sequent cannot be evaluated in m
+                for w in m.worlds:
+                    if holds(m, w, hyps):
+                        assert holds(m, w, [a]), (name, print_formula(a))
+        derived += len(proofs)
+        refuted += len(models)
+    assert derived > 20 and refuted > 50
 
 
 # --- inverse_evidence -------------------------------------------------------

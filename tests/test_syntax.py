@@ -253,6 +253,47 @@ def test_deep_hash_does_not_recurse():
     assert hash(deep_chain(3000)) == hash(deep_chain(3000))
 
 
+def test_deep_equality_does_not_recurse():
+    assert deep_chain(3000) == deep_chain(3000)
+    assert deep_chain(3000) != deep_chain(2999)
+    a, b, c = p, p, q
+    for _ in range(3000):
+        a, b, c = Just(x, a), Just(Variable("x"), b), Just(x, c)
+    assert a == b
+    assert a != c
+
+
+def test_equality_does_not_trust_hashes():
+    # equal stored hashes all the way down force the walk to the leaves
+    a, b = deep_chain(3000), deep_chain(3000)
+    b_leaf = b
+    while isinstance(b_leaf.right, Implies):
+        b_leaf = b_leaf.right
+    b_leaf.__dict__["right"] = q
+    assert a._hash == b._hash
+    assert a != b
+    s, t = Just(Sum(x, y), p), Just(Sum(x, z), p)
+    t.__dict__["_hash"], t.term.__dict__["_hash"] = s._hash, s.term._hash
+    assert s != t
+
+
+@given(formulas, formulas)
+def test_equality_agrees_with_structure(a, b):
+    # the printed dataclass fields are the structure; b is built apart from a
+    b = parse_formula(print_formula(b))
+    assert (a == b) == (repr(a) == repr(b))
+    assert (Just(x, a) == Just(Variable("x"), b)) == (a == b)
+
+
+def test_equality_across_node_kinds():
+    assert Atom("p") == parse_formula("p")
+    assert Atom("p") != Atom("q")
+    assert FALSUM == Falsum()
+    assert Implies(p, q) != And(p, q)
+    assert p != x and x != p
+    assert Implies(p, q) != "p -> q"
+
+
 def test_constant_and_variable_differ():
     assert Constant("x") != Variable("x")
 
