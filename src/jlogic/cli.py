@@ -58,19 +58,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write_out(path: str, text: str, stdout) -> None:
-    if path == "-":
-        stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _emit(args, stdout, text: str, payload: dict) -> None:
     if args.format == "json":
         stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         stdout.write(text + "\n")
+
+
+def _write_artifact(args, stdout, kind: str, artifact: str, summary: str,
+                    payload: dict, header: str = "") -> None:
+    """Write a proof or model file.  With --out - it goes to stdout: under
+    the key kind of the JSON payload, or in text after the header lines.
+    Otherwise it goes to the file named by --out, and stdout gets the
+    summary."""
+    if args.out != "-":
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(artifact)
+        _emit(args, stdout, summary, payload)
+    elif args.format == "json":
+        _emit(args, stdout, "", dict(payload, **{kind: artifact}))
+    else:
+        stdout.write(header + artifact)
 
 
 def _load_cs(path: str | None) -> ConstantSpecification:
@@ -109,17 +117,10 @@ def cmd_deduce(args, stdout) -> int:
     pi = parse_proof(_read(args.proof), cs.constants())
     a = parse_formula(args.hypothesis, constants=cs.constants())
     out = deduce(pi, a)
-    text = print_proof(out)
-    payload = {"conclusion": print_formula(out.conclusion),
-               "steps": len(out.steps), "out": args.out}
-    if args.out == "-":
-        if args.format == "json":
-            _emit(args, stdout, "", dict(payload, proof=text))
-        else:
-            stdout.write(text)
-    else:
-        _write_out(args.out, text, stdout)
-        _emit(args, stdout, f"deduced {print_formula(out.conclusion)}", payload)
+    _write_artifact(args, stdout, "proof", print_proof(out),
+                    f"deduced {print_formula(out.conclusion)}",
+                    {"conclusion": print_formula(out.conclusion),
+                     "steps": len(out.steps), "out": args.out})
     return 0
 
 
@@ -132,18 +133,12 @@ def cmd_internalize(args, stdout) -> int:
         if part.strip()
     )
     t, out = internalize(pi, witnesses, cs)
-    text = print_proof(out)
-    payload = {"term": print_term(t),
-               "conclusion": print_formula(out.conclusion),
-               "steps": len(out.steps), "out": args.out}
-    if args.out == "-":
-        if args.format == "json":
-            _emit(args, stdout, "", dict(payload, proof=text))
-        else:
-            stdout.write(f"# term: {print_term(t)}\n" + text)
-    else:
-        _write_out(args.out, text, stdout)
-        _emit(args, stdout, f"internalized by {print_term(t)}", payload)
+    _write_artifact(args, stdout, "proof", print_proof(out),
+                    f"internalized by {print_term(t)}",
+                    {"term": print_term(t),
+                     "conclusion": print_formula(out.conclusion),
+                     "steps": len(out.steps), "out": args.out},
+                    header=f"# term: {print_term(t)}\n")
     return 0
 
 
@@ -239,7 +234,6 @@ def cmd_canonical(args, stdout) -> int:
     cm = bounded_canonical_model(
         spec.universe, cs, args.depth, cap=args.cap
     )
-    text = print_model(cm.model)
     world_lines = []
     for i, th in enumerate(cm.theories):
         members = ", ".join(sorted(map(print_formula, th.members), key=str))
@@ -259,16 +253,9 @@ def cmd_canonical(args, stdout) -> int:
         ],
         "out": args.out,
     }
-    if args.out == "-":
-        if args.format == "json":
-            _emit(args, stdout, "", dict(payload, model=text))
-        else:
-            for line in summary_lines:
-                stdout.write(f"# {line}\n")
-            stdout.write(text)
-    else:
-        _write_out(args.out, text, stdout)
-        _emit(args, stdout, "\n".join(summary_lines), payload)
+    _write_artifact(args, stdout, "model", print_model(cm.model),
+                    "\n".join(summary_lines), payload,
+                    header="".join(f"# {line}\n" for line in summary_lines))
     return 0
 
 
@@ -354,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("universe")
     p.add_argument("--out", default="-")
     p.add_argument("--depth", type=_int_in(0), default=4)
-    p.add_argument("--cap", type=int, default=14)
+    p.add_argument("--cap", type=_int_in(0), default=14)
     p.add_argument("--cs", default=None)
 
     return parser

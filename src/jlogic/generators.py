@@ -2,8 +2,8 @@
 accepted proofs, theorem pools, and valid models.
 
 Everything is driven by an explicit random.Random so runs are
-reproducible; the JLOGIC_SEED environment variable fixes the seed used
-by default_rng()."""
+reproducible; env_seed() reads a base seed from the JLOGIC_SEED
+environment variable."""
 
 from __future__ import annotations
 
@@ -56,10 +56,6 @@ from jlogic.syntax import (
 
 def env_seed() -> int:
     return int(os.environ.get("JLOGIC_SEED", "0"))
-
-
-def default_rng() -> random.Random:
-    return random.Random(env_seed())
 
 
 def random_term(

@@ -771,14 +771,18 @@ class _Searcher:
     specification pair directly; otherwise spend one unit of depth on
     either implication introduction (derive the consequent under the
     antecedent, then discharge it via deduce) or modus ponens inversion,
-    where the minor premise ranges over the subformula closure of the
-    original hypotheses and goal in printed-form order.
+    where the minor premise ranges over the pool in its given order.
+
+    The pool is the subformula closure of the original hypotheses and
+    goal.  Every hypothesis the search assumes is in it: the original
+    ones, and every antecedent that introduction adds.  So every proof
+    the search builds has the pool as its hypothesis list.
     """
 
     def __init__(self, pool: tuple[Formula, ...], cs: ConstantSpecification):
         self.pool = pool
         self.cs = cs
-        self.proofs: dict = {}  # (hyps frozenset, goal) -> Proof over sorted hyps
+        self.proofs: dict = {}  # (hyps frozenset, goal) -> Proof over the pool
         self.failed: dict = {}  # (hyps frozenset, goal) -> highest failed bound
 
     def derive(self, hyps: frozenset, goal: Formula, k: int) -> Proof | None:
@@ -787,13 +791,12 @@ class _Searcher:
             return self.proofs[key]
         if self.failed.get(key, -1) >= k:
             return None
-        base = tuple(sorted(hyps, key=formula_key))
 
-        proof = self._base_case(base, hyps, goal)
+        proof = self._base_case(hyps, goal)
         if proof is None and k > 0:
-            proof = self._introduce(base, hyps, goal, k)
+            proof = self._introduce(hyps, goal, k)
         if proof is None and k > 0:
-            proof = self._invert_mp(base, hyps, goal, k)
+            proof = self._invert_mp(hyps, goal, k)
 
         if proof is not None:
             self.proofs[key] = proof
@@ -802,32 +805,32 @@ class _Searcher:
             self.failed[key] = k
         return None
 
-    def _base_case(self, base: tuple, hyps: frozenset, goal: Formula) -> Proof | None:
+    def _base_case(self, hyps: frozenset, goal: Formula) -> Proof | None:
+        pool = self.pool
         if goal in hyps:
-            return Proof(base, (ProofStep(goal, Hypothesis(base.index(goal))),))
+            return Proof(pool, (ProofStep(goal, Hypothesis(pool.index(goal))),))
         tag = first_axiom_tag(goal)
         if tag is not None:
-            return Proof(base, (ProofStep(goal, AxiomRule(tag)),))
+            return Proof(pool, (ProofStep(goal, AxiomRule(tag)),))
         if (
             isinstance(goal, Just)
             and isinstance(goal.term, Constant)
             and self.cs.covers(goal.term.name, goal.body)
         ):
             return Proof(
-                base, (ProofStep(goal, AxiomNecessitation(goal.term.name)),)
+                pool, (ProofStep(goal, AxiomNecessitation(goal.term.name)),)
             )
         return None
 
-    def _introduce(self, base, hyps, goal, k) -> Proof | None:
+    def _introduce(self, hyps, goal, k) -> Proof | None:
         if not isinstance(goal, Implies):
             return None
         sub = self.derive(hyps | {goal.left}, goal.right, k - 1)
         if sub is None:
             return None
-        padded = with_hypotheses(sub, base + (goal.left,))
-        return with_hypotheses(deduce(padded, goal.left), base)
+        return with_hypotheses(deduce(sub, goal.left), self.pool)
 
-    def _invert_mp(self, base, hyps, goal, k) -> Proof | None:
+    def _invert_mp(self, hyps, goal, k) -> Proof | None:
         for x in self.pool:
             minor = self.derive(hyps, x, k - 1)
             if minor is None:
@@ -855,6 +858,8 @@ def bounded_derive(
     if k < 0:
         raise ValueError("bound must be nonnegative")
     hyp_tuple = tuple(hyps)
+    # The pool order decides which proof is found and, since memoized
+    # proofs ignore depth, which sequents succeed at a given bound.
     pool = tuple(
         sorted(close_subformulas(set(hyp_tuple) | {goal}), key=formula_key)
     )

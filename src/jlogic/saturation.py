@@ -94,23 +94,20 @@ class Unknown:
 Certificate = Derivable | RefutedBySemantics | Unknown
 
 
+# The oracle's countermodel search bounds.
+ORACLE_MAX_WORLDS = 3
+ORACLE_EVIDENCE_BUDGET = 6
+
+
 class DerivabilityOracle:
     """Layered sequent oracle: a bounded proof search answers Derivable
     with a checkable proof; failing that, a countermodel search on the
     curried implication answers RefutedBySemantics with a validated
     model; failing both, Unknown.  Answers are memoized per sequent."""
 
-    def __init__(
-        self,
-        cs: ConstantSpecification,
-        depth: int,
-        max_worlds: int = 3,
-        evidence_budget: int = 6,
-    ):
+    def __init__(self, cs: ConstantSpecification, depth: int):
         self.cs = cs
         self.depth = depth
-        self.max_worlds = max_worlds
-        self.evidence_budget = evidence_budget
         self.cache: dict[tuple[frozenset[Formula], Formula], Certificate] = {}
 
     def query(self, hyps, goal: Formula) -> Certificate:
@@ -127,12 +124,12 @@ class DerivabilityOracle:
             for h in reversed(ordered):
                 chain = Implies(h, chain)
             found = find_countermodel(
-                chain, self.max_worlds, self.evidence_budget, self.cs
+                chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
             )
             if found is None:
                 cert = Unknown(
                     f"no proof at depth {self.depth}; no countermodel "
-                    f"within {self.max_worlds} worlds"
+                    f"within {ORACLE_MAX_WORLDS} worlds"
                 )
             else:
                 witness = _sequent_world(found.model, ordered, goal)

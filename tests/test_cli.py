@@ -171,6 +171,7 @@ def test_countermodel_none_found(capsys):
     ("countermodel", "p", "--budget", "-1"),
     ("saturate", "UNIVERSE:sat-evidence.txt", "--depth", "-1"),
     ("canonical", "UNIVERSE:canon-atom.txt", "--depth", "-1"),
+    ("canonical", "UNIVERSE:canon-atom.txt", "--cap", "-1"),
 ])
 def test_out_of_range_bounds_exit_2(capsys, argv):
     argv = [

@@ -1,9 +1,12 @@
 """Deduction, internalization, and bounded search: the constructive
 transformations and their contracts over randomized proofs."""
 
+import hashlib
 import random
 
 import pytest
+
+from jlogic import proof_system
 
 from jlogic.generators import (
     random_accepted_proof,
@@ -27,6 +30,7 @@ from jlogic.proof_system import (
     internalize,
     match_axiom,
     parse_cs,
+    print_proof,
 )
 from jlogic.syntax import (
     App,
@@ -35,6 +39,7 @@ from jlogic.syntax import (
     Implies,
     Just,
     Variable,
+    close_subformulas,
     formula_terms,
     parse_formula,
 )
@@ -246,6 +251,99 @@ def test_bounded_derive_respects_hypothesis_order():
     hyps = frozenset({F("x:(p -> q)"), F("y:p")})
     result = bounded_derive(hyps, F("x.y:q"), CS, 3)
     assert set(result.proof.hypotheses) <= hyps
+
+
+PINNED_PROOFS = [
+    (("x:(p -> q)", "y:p"), "x.y:q", 3, """\
+hypotheses:
+  1. x:(p -> q)
+  2. y:p
+proof:
+  1. x.y:q -> (x.y:q -> x.y:q) -> x.y:q ; ax IPC-1
+  2. (x.y:q -> (x.y:q -> x.y:q) -> x.y:q) -> (x.y:q -> x.y:q -> x.y:q) -> x.y:q -> x.y:q ; ax IPC-2
+  3. (x.y:q -> x.y:q -> x.y:q) -> x.y:q -> x.y:q ; mp 2,1
+  4. x.y:q -> x.y:q -> x.y:q ; ax IPC-1
+  5. x.y:q -> x.y:q ; mp 3,4
+  6. x:(p -> q) -> y:p -> x.y:q ; ax J-App
+  7. x:(p -> q) ; hyp 1
+  8. y:p -> x.y:q ; mp 6,7
+  9. y:p ; hyp 2
+  10. x.y:q ; mp 8,9
+  11. x.y:q ; mp 5,10
+"""),
+    # modus ponens inversion twice, hypotheses out of printed order
+    (("q -> r", "p -> q", "p"), "r", 2, """\
+hypotheses:
+  1. q -> r
+  2. p -> q
+  3. p
+proof:
+  1. q -> r ; hyp 1
+  2. p -> q ; hyp 2
+  3. p ; hyp 3
+  4. q ; mp 2,3
+  5. r ; mp 1,4
+"""),
+    # introduction, then inversion under the introduced hypothesis
+    (("q -> r", "p -> q"), "p -> r", 3, """\
+hypotheses:
+  1. q -> r
+  2. p -> q
+proof:
+  1. q -> r ; hyp 1
+  2. (q -> r) -> p -> q -> r ; ax IPC-1
+  3. p -> q -> r ; mp 2,1
+  4. p -> q ; hyp 2
+  5. (p -> q) -> p -> p -> q ; ax IPC-1
+  6. p -> p -> q ; mp 5,4
+  7. p -> (p -> p) -> p ; ax IPC-1
+  8. (p -> (p -> p) -> p) -> (p -> p -> p) -> p -> p ; ax IPC-2
+  9. (p -> p -> p) -> p -> p ; mp 8,7
+  10. p -> p -> p ; ax IPC-1
+  11. p -> p ; mp 9,10
+  12. (p -> p -> q) -> (p -> p) -> p -> q ; ax IPC-2
+  13. (p -> p) -> p -> q ; mp 12,6
+  14. p -> q ; mp 13,11
+  15. (p -> q -> r) -> (p -> q) -> p -> r ; ax IPC-2
+  16. (p -> q) -> p -> r ; mp 15,3
+  17. p -> r ; mp 16,14
+"""),
+]
+
+
+@pytest.mark.parametrize("hyps, goal, k, text", PINNED_PROOFS)
+def test_bounded_derive_proof_pinned(hyps, goal, k, text):
+    result = bounded_derive(tuple(map(F, hyps)), F(goal), CS, k)
+    assert print_proof(result.proof) == text
+
+
+# SHA-256 of the printed 161-step proof of (p -> q) -> (q -> r) -> p -> r
+LONG_PROOF_SHA256 = (
+    "a18db4c1fb63e14aa7a9ab03fef7287bbaaa218b8fa2c6af31f8485c8268eca7"
+)
+
+
+def test_bounded_derive_long_proof_pinned():
+    result = bounded_derive((), F("(p -> q) -> (q -> r) -> p -> r"), CS, 5)
+    assert check_proof(result.proof, CS).ok
+    assert len(result.proof.steps) == 161
+    text = print_proof(result.proof).encode()
+    assert hashlib.sha256(text).hexdigest() == LONG_PROOF_SHA256
+
+
+def test_bounded_derive_sorts_only_the_pool(monkeypatch):
+    calls = []
+    real_key = proof_system.formula_key
+
+    def counting_key(a):
+        calls.append(a)
+        return real_key(a)
+
+    monkeypatch.setattr(proof_system, "formula_key", counting_key)
+    hyps = (F("q -> r"), F("p -> q"))
+    goal = F("p -> r")
+    assert isinstance(bounded_derive(hyps, goal, CS, 3), Derivable)
+    assert len(calls) <= len(close_subformulas(set(hyps) | {goal}))
 
 
 # --- schema agreement -------------------------------------------------------

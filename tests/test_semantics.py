@@ -23,6 +23,7 @@ from jlogic.syntax import (
     Atom,
     And,
     Bang,
+    Constant,
     FALSUM,
     Falsum,
     Implies,
@@ -108,8 +109,10 @@ def test_closure_upward_monotone():
 
 
 def _conditions_hold(m, fam):
-    """Independent re-statement of the evidence closure conditions over a
-    family fam[t][w]; used to certify minimality of the real closure."""
+    """Independent re-statement of the evidence closure conditions (1)-(4)
+    and M2 over a family fam[t][w]; validate_model leaves them to the
+    construction of the closure, and this certifies that the real closure
+    satisfies them and is minimal."""
     for w in m.worlds:
         for term in m.term_universe:
             have = fam[term][w]
@@ -142,14 +145,30 @@ def _conditions_hold(m, fam):
     return True
 
 
-def test_closure_is_least_fixed_point():
-    m = BasicEvaluation(
-        ("w0", "w1"),
-        transitive_reflexive_closure(("w0", "w1"), [("w0", "w1")]),
-        {"w0": {"p"}, "w1": {"p", "q"}},
-        base_evidence={"w0": {s: {Implies(p, q)}, t: {p}}},
-        term_universe={App(s, t), Bang(t)},
-    )
+def _closure_test_model(seed):
+    """The hand-built model for seed None, else a random valid model whose
+    term universe holds application, sum, ! and constant terms."""
+    if seed is None:
+        return BasicEvaluation(
+            ("w0", "w1"),
+            transitive_reflexive_closure(("w0", "w1"), [("w0", "w1")]),
+            {"w0": {"p"}, "w1": {"p", "q"}},
+            base_evidence={"w0": {s: {Implies(p, q)}, t: {p}}},
+            term_universe={App(s, t), Bang(t)},
+        )
+    c1 = Constant("c1")  # covers IPC-1
+    universe = [parse_formula(f, constants=CS.constants()) for f in [
+        "x:(p -> q)", "y:p \\/ q", "p -> q -> p", "c1.y:(q -> p)", "!x:x:q",
+    ]]
+    terms = {App(x, y), Sum(x, y), Bang(Sum(x, y)), c1, App(c1, y)}
+    return random_valid_model(random.Random(seed), universe, terms, CS,
+                              max_worlds=3, evidence_budget=12)
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)],
+                         ids=["hand", *(f"seed{i}" for i in range(8))])
+def test_closure_is_least_fixed_point(seed):
+    m = _closure_test_model(seed)
     fam = {
         term: {w: set(m.evidence(term, w)) for w in m.worlds}
         for term in m.term_universe
