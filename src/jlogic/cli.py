@@ -89,16 +89,12 @@ def _load_cs(path: str | None) -> ConstantSpecification:
 
 def cmd_parse(args, stdout) -> int:
     if args.term:
-        t = parse_term(args.input)
-        _emit(args, stdout, print_term(t),
-              {"kind": "term", "canonical": print_term(t),
-               "size": term_size(t)})
+        kind, node = "term", parse_term(args.input)
+        text, size = print_term(node, args.full_parens), term_size(node)
     else:
-        a = parse_formula(args.input)
-        _emit(args, stdout, print_formula(a, full_parens=args.full_parens),
-              {"kind": "formula",
-               "canonical": print_formula(a, full_parens=args.full_parens),
-               "size": formula_size(a)})
+        kind, node = "formula", parse_formula(args.input)
+        text, size = print_formula(node, args.full_parens), formula_size(node)
+    _emit(args, stdout, text, {"kind": kind, "canonical": text, "size": size})
     return 0
 
 
@@ -202,7 +198,7 @@ def cmd_saturate(args, stdout) -> int:
         raise FileFormatError("no goal: neither in the file nor via --goal", 0)
     th = prime_saturate(spec.base, goal, spec.universe, cs, args.depth)
     verdict = check_prime(th, cs)
-    members = sorted(map(print_formula, th.members), key=str)
+    members = sorted(map(print_formula, th.members))
     lines = []
     for step in th.trace:
         cert = _certificate_tag(step.certificate) or "already present"
@@ -236,7 +232,7 @@ def cmd_canonical(args, stdout) -> int:
     )
     world_lines = []
     for i, th in enumerate(cm.theories):
-        members = ", ".join(sorted(map(print_formula, th.members), key=str))
+        members = ", ".join(sorted(map(print_formula, th.members)))
         world_lines.append(f"{cm.model.worlds[i]} = {{{members}}}")
     summary_lines = world_lines + [
         f"excluded unknown sets: {len(cm.excluded_unknown)}"
@@ -244,11 +240,11 @@ def cmd_canonical(args, stdout) -> int:
     payload = {
         "worlds": [
             {"name": cm.model.worlds[i],
-             "members": sorted(map(print_formula, th.members), key=str)}
+             "members": sorted(map(print_formula, th.members))}
             for i, th in enumerate(cm.theories)
         ],
         "excluded_unknown": [
-            sorted(map(print_formula, s), key=str)
+            sorted(map(print_formula, s))
             for s in cm.excluded_unknown
         ],
         "out": args.out,

@@ -25,6 +25,7 @@ from jlogic.syntax import (
     Implies,
     Just,
     Or,
+    ParseError,
     Sum,
     Term,
     close_subformulas,
@@ -54,6 +55,30 @@ class FileFormatError(Exception):
         super().__init__(f"line {line}: {message}")
         self.message = message
         self.line = line
+
+
+def _file_lines(text: str):
+    """(line number, line) for each line that keeps some text once its
+    '#' comment is cut off, with surrounding white space stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_at(lineno: int, parse, text: str, constants, prefix: str = ""):
+    """parse(text, constants), a ParseError becoming a FileFormatError at
+    the line, its message after prefix."""
+    try:
+        return parse(text, constants)
+    except ParseError as e:
+        raise FileFormatError(prefix + str(e), lineno) from e
+
+
+def _parse_list(lineno: int, parse, text: str, constants) -> list:
+    """The comma-separated items of text, each parsed as by _parse_at."""
+    return [_parse_at(lineno, parse, item.strip(), constants)
+            for item in text.split(",") if item.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +148,8 @@ def _compile(pat, bound: set):
     """A matcher for one pattern node: a function (target, env) -> bool
     that checks the target's constructor and binds or compares
     metavariables in env.  bound holds the metavariables that an earlier
-    part of the pattern (left before right, term before body) binds."""
+    part of the pattern (left before right, term before body) binds, and
+    gains those that pat binds."""
     if isinstance(pat, (_MetaF, _MetaT)):
         name = pat.name
         sort = Formula if isinstance(pat, _MetaF) else Term
@@ -158,7 +184,10 @@ def _compile(pat, bound: set):
     return lambda tgt, env: type(tgt) is cls and tgt == pat  # Falsum, Atom, ...
 
 
-_MATCHERS = {tag: _compile(pat, set()) for tag, pat in AXIOM_SCHEMAS.items()}
+_METAVARIABLES: dict[str, set[str]] = {tag: set() for tag in AXIOM_SCHEMAS}
+_MATCHERS = {
+    tag: _compile(pat, _METAVARIABLES[tag]) for tag, pat in AXIOM_SCHEMAS.items()
+}
 
 
 # (antecedent class, consequent class) -> candidate tags in declaration
@@ -217,22 +246,8 @@ def _substitute(pat, env: dict):
 
 
 def schema_metavariables(tag: str) -> frozenset[str]:
-    names = set()
-
-    def walk(pat):
-        if isinstance(pat, (_MetaF, _MetaT)):
-            names.add(pat.name)
-        elif isinstance(pat, (And, Or, Implies, App, Sum)):
-            walk(pat.left)
-            walk(pat.right)
-        elif isinstance(pat, Just):
-            walk(pat.term)
-            walk(pat.body)
-        elif isinstance(pat, Bang):
-            walk(pat.inner)
-
-    walk(AXIOM_SCHEMAS[tag])
-    return frozenset(names)
+    """The metavariables of a schema: those its matcher binds."""
+    return frozenset(_METAVARIABLES[tag])
 
 
 def instantiate_schema(tag: str, env: dict) -> Formula:
@@ -332,10 +347,7 @@ def parse_cs(text: str) -> ConstantSpecification:
         <constant> := <formula>      explicit entry (must be an axiom instance)
     """
     raw: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _file_lines(text):
         if ":=" not in line:
             raise FileFormatError("expected '<constant> := ...'", lineno)
         name, rhs = (part.strip() for part in line.split(":=", 1))
@@ -353,10 +365,7 @@ def parse_cs(text: str) -> ConstantSpecification:
                 raise FileFormatError(f"unknown schema tag {tag!r}", lineno)
             schematic.append((name, tag))
         else:
-            try:
-                a = parse_formula(rhs, constants=declared)
-            except Exception as e:
-                raise FileFormatError(f"bad formula: {e}", lineno) from e
+            a = _parse_at(lineno, parse_formula, rhs, declared, "bad formula: ")
             if not match_axiom(a):
                 raise FileFormatError(
                     f"{print_formula(a)!r} is not an axiom instance", lineno
@@ -512,10 +521,7 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
     hyps: list[Formula] = []
     steps: list[ProofStep] = []
     section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _file_lines(text):
         if line == "hypotheses:":
             section = "hypotheses"
             continue
@@ -532,20 +538,16 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
         if section == "hypotheses":
             if num != len(hyps) + 1:
                 raise FileFormatError(f"expected hypothesis {len(hyps) + 1}", lineno)
-            try:
-                hyps.append(parse_formula(rest, constants=constants))
-            except Exception as e:
-                raise FileFormatError(f"bad formula: {e}", lineno) from e
+            hyps.append(
+                _parse_at(lineno, parse_formula, rest, constants, "bad formula: ")
+            )
             continue
         if num != len(steps) + 1:
             raise FileFormatError(f"expected step {len(steps) + 1}", lineno)
         if ";" not in rest:
             raise FileFormatError("expected '<formula> ; <rule>'", lineno)
         ftext, rtext = (part.strip() for part in rest.rsplit(";", 1))
-        try:
-            conclusion = parse_formula(ftext, constants=constants)
-        except Exception as e:
-            raise FileFormatError(f"bad formula: {e}", lineno) from e
+        conclusion = _parse_at(lineno, parse_formula, ftext, constants, "bad formula: ")
         steps.append(ProofStep(conclusion, _parse_rule(rtext, lineno)))
     if section is None:
         raise FileFormatError("empty proof file", 1)

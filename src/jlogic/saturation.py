@@ -19,6 +19,8 @@ from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
     FileFormatError,
+    _file_lines,
+    _parse_list,
     bounded_derive,
     match_axiom,
 )
@@ -423,9 +425,7 @@ def bounded_canonical_model(
     just_terms = {f.term for f in u.formulas if isinstance(f, Just)}
     evidence = {
         names[i]: {
-            t: inverse_evidence(worlds[i], t)
-            for t in just_terms
-            if inverse_evidence(worlds[i], t)
+            t: ev for t in just_terms if (ev := inverse_evidence(worlds[i], t))
         }
         for i in range(len(worlds))
     }
@@ -466,10 +466,7 @@ def parse_universe(
     base: list[Formula] = []
     goal: Formula | None = None
     section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _file_lines(text):
         head, sep, rest = line.partition(":")
         if sep and head in ("universe", "base", "goal"):
             section = head
@@ -478,14 +475,7 @@ def parse_universe(
                 continue
         elif section is None:
             raise FileFormatError("expected 'universe:', 'base:', or 'goal:'", lineno)
-        try:
-            formulas = [
-                parse_formula(part.strip(), constants=frozenset(declared))
-                for part in line.split(",")
-                if part.strip()
-            ]
-        except Exception as e:
-            raise FileFormatError(str(e), lineno) from e
+        formulas = _parse_list(lineno, parse_formula, line, declared)
         if section == "universe":
             seeds += formulas
         elif section == "base":

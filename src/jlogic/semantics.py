@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from jlogic.proof_system import ConstantSpecification, FileFormatError
+from jlogic.proof_system import (
+    ConstantSpecification,
+    FileFormatError,
+    _file_lines,
+    _parse_at,
+    _parse_list,
+)
 from jlogic.syntax import (
     And,
     Atom,
@@ -313,15 +319,16 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     for w in m.worlds:
         if (w, w) not in rel:
             out.append(Violation("order-reflexivity", (w,), f"{w} <= {w} missing"))
-    for (a, b) in sorted(rel):
-        for (c, d) in sorted(rel):
+    pairs = sorted(rel)
+    for (a, b) in pairs:
+        for (c, d) in pairs:
             if b == c and (a, d) not in rel:
                 out.append(Violation("order-transitivity", (a, b, d),
                                      f"{a} <= {b} <= {d} but not {a} <= {d}"))
         if a != b and (b, a) in rel and a < b:
             out.append(Violation("order-antisymmetry", (a, b),
                                  f"{a} <= {b} and {b} <= {a}"))
-    for (w, v) in sorted(rel):
+    for (w, v) in pairs:
         for p in sorted(m.atoms[w]):
             if p not in m.atoms[v]:
                 out.append(Violation("M1", (w, v), f"atom {p} lost going up"))
@@ -570,13 +577,9 @@ def parse_model(
     the_cs = cs if cs is not None else ConstantSpecification.default_schematic()
     declared = the_cs.constants()
     section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        if head in ("worlds", "order", "atoms", "evidence", "terms", "formulas") \
-                and (line.startswith(head + ":")):
+    for lineno, line in _file_lines(text):
+        head, sep, rest = line.partition(":")
+        if sep and head in ("worlds", "order", "atoms", "evidence", "terms", "formulas"):
             section = head
             rest = rest.strip()
             if not rest:
@@ -618,31 +621,13 @@ def parse_model(
             w, ttext, ftext = parts
             if w not in worlds:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
-            try:
-                t = parse_term(ttext, constants=declared)
-                fs = [
-                    parse_formula(s.strip(), constants=declared)
-                    for s in ftext.split(",") if s.strip()
-                ]
-            except Exception as e:
-                raise FileFormatError(str(e), lineno) from e
+            t = _parse_at(lineno, parse_term, ttext, declared)
+            fs = _parse_list(lineno, parse_formula, ftext, declared)
             evidence.setdefault(w, {}).setdefault(t, set()).update(fs)
         elif section == "terms":
-            try:
-                terms += [
-                    parse_term(s.strip(), constants=declared)
-                    for s in line.split(",") if s.strip()
-                ]
-            except Exception as e:
-                raise FileFormatError(str(e), lineno) from e
+            terms += _parse_list(lineno, parse_term, line, declared)
         elif section == "formulas":
-            try:
-                formulas += [
-                    parse_formula(s.strip(), constants=declared)
-                    for s in line.split(",") if s.strip()
-                ]
-            except Exception as e:
-                raise FileFormatError(str(e), lineno) from e
+            formulas += _parse_list(lineno, parse_formula, line, declared)
     if worlds is None:
         raise FileFormatError("missing worlds section", 1)
     order = transitive_reflexive_closure(worlds, pairs)

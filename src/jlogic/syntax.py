@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,6 @@ _NAMED = (Atom, Constant, Variable)  # the leaves that _equal_names compares
 
 _ATOM_RE = re.compile(r"^(p|q|r|p[0-9]+)$")
 _CONSTANT_RE = re.compile(r"^c[0-9]+$")
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 def is_atom_name(name: str) -> bool:
@@ -334,55 +333,72 @@ def close_subterms(terms) -> frozenset[Term]:
 
 
 # ---------------------------------------------------------------------------
+# Operators
+#
+# One row per binary operator token: the node it builds, its printed form,
+# its precedence among the operators of its sort (terms or formulas), and
+# whether it groups to the right.  The parser climbs these precedences and
+# the printer puts parentheses by them.  The operand of ``!`` and the body
+# of ``t:A`` sit at _PREFIX, above every operator, so any binary node
+# there is parenthesized.
+
+
+class _Op(NamedTuple):
+    node: type
+    text: str
+    prec: int
+    right: bool
+
+
+_OPERATORS = {
+    "PLUS": _Op(Sum, " + ", 0, False),
+    "DOT": _Op(App, ".", 1, False),
+    "ARROW": _Op(Implies, " -> ", 0, True),
+    "OR": _Op(Or, " \\/ ", 1, False),
+    "AND": _Op(And, " /\\ ", 2, False),
+}
+_TERM_OPS = {k: op for k, op in _OPERATORS.items() if issubclass(op.node, Term)}
+_FORMULA_OPS = {k: op for k, op in _OPERATORS.items() if issubclass(op.node, Formula)}
+_OP_OF_NODE = {op.node: op for op in _OPERATORS.values()}
+_PREFIX = 1 + max(op.prec for op in _OPERATORS.values())
+
+
+# ---------------------------------------------------------------------------
 # Printing
 
-_TERM_SUM, _TERM_APP, _TERM_UNARY = 0, 1, 2
-_F_IMP, _F_OR, _F_AND, _F_JUST = 0, 1, 2, 3
+
+def _show(node, full: bool, level: int) -> str:
+    """Print a term or formula that sits at a precedence level.  A
+    left-grouping operator puts its left operand at its own precedence and
+    its right operand one above, a right-grouping one the reverse.  A
+    binary node at a level above its precedence is parenthesized; with
+    full, every composite node is."""
+    kind = type(node)
+    op = _OP_OF_NODE.get(kind)
+    if op is not None:
+        prec = op.prec
+        left, right = (prec + 1, prec) if op.right else (prec, prec + 1)
+        s = _show(node.left, full, left) + op.text + _show(node.right, full, right)
+        return f"({s})" if full or level > prec else s
+    if kind is Bang:
+        s = "!" + _show(node.inner, full, _PREFIX)
+    elif kind is Just:
+        s = _show(node.term, full, 0) + ":" + _show(node.body, full, _PREFIX)
+    elif kind is Falsum:
+        return "_|_"
+    else:
+        return node.name
+    return f"({s})" if full else s
 
 
 def print_term(t: Term, full_parens: bool = False) -> str:
     """Render t with minimal parentheses (or fully parenthesized)."""
-
-    def go(t: Term, level: int) -> str:
-        if isinstance(t, (Constant, Variable)):
-            return t.name
-        if isinstance(t, Bang):
-            s = "!" + go(t.inner, _TERM_UNARY)
-            return f"({s})" if full_parens else s
-        if isinstance(t, App):
-            s = go(t.left, _TERM_APP) + "." + go(t.right, _TERM_UNARY)
-            need = full_parens or level > _TERM_APP
-        else:  # Sum
-            s = go(t.left, _TERM_SUM) + " + " + go(t.right, _TERM_APP)
-            need = full_parens or level > _TERM_SUM
-        return f"({s})" if need else s
-
-    return go(t, _TERM_SUM)
+    return _show(t, full_parens, 0)
 
 
 def print_formula(a: Formula, full_parens: bool = False) -> str:
     """Render a with minimal parentheses (or fully parenthesized)."""
-
-    def go(a: Formula, level: int) -> str:
-        if isinstance(a, Atom):
-            return a.name
-        if isinstance(a, Falsum):
-            return "_|_"
-        if isinstance(a, Just):
-            s = print_term(a.term, full_parens) + ":" + go(a.body, _F_JUST)
-            return f"({s})" if full_parens else s
-        if isinstance(a, And):
-            s = go(a.left, _F_AND) + " /\\ " + go(a.right, _F_JUST)
-            need = full_parens or level > _F_AND
-        elif isinstance(a, Or):
-            s = go(a.left, _F_OR) + " \\/ " + go(a.right, _F_AND)
-            need = full_parens or level > _F_OR
-        else:  # Implies, right-associative
-            s = go(a.left, _F_OR) + " -> " + go(a.right, _F_IMP)
-            need = full_parens or level > _F_IMP
-        return f"({s})" if need else s
-
-    return go(a, _F_IMP)
+    return _show(a, full_parens, 0)
 
 
 def formula_key(a: Formula) -> str:
@@ -414,60 +430,37 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_SYMBOLS = [
-    ("->", "ARROW"),
-    ("/\\", "AND"),
-    ("\\/", "OR"),
-    ("_|_", "FALSUM"),
-    ("→", "ARROW"),
-    ("∧", "AND"),
-    ("∨", "OR"),
-    ("⊥", "FALSUM"),
-    ("·", "DOT"),
-    ("!", "BANG"),
-    (".", "DOT"),
-    ("+", "PLUS"),
-    (":", "COLON"),
-    ("(", "LPAR"),
-    (")", "RPAR"),
-]
-# alternatives are tried in list order, as the lexer's precedence needs
-_SYMBOL_RE = re.compile("|".join(re.escape(sym) for sym, _ in _SYMBOLS))
-_SYMBOL_KIND = dict(_SYMBOLS)
+# One group per token kind, ASCII and Unicode spellings together; every
+# position matches one group after any white space, BAD when nothing else.
+_TOKEN_RE = re.compile(r"""\s*(?:
+      (?P<ARROW>->|→) | (?P<AND>/\\|∧) | (?P<OR>\\/|∨) | (?P<FALSUM>_\|_|⊥)
+    | (?P<DOT>[.·]) | (?P<BANG>!) | (?P<PLUS>\+) | (?P<COLON>:)
+    | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<IDENT>[a-z][a-zA-Z0-9_]*)
+    | (?P<EOF>\Z) | (?P<BAD>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Tok(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[_Tok]:
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _SYMBOL_RE.match(src, i)
-        if m:
-            toks.append(_Token(_SYMBOL_KIND[m.group(0)], m.group(0), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            toks.append(_Token("IDENT", m.group(0), i))
-            i = m.end()
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(_Token("EOF", "", n))
-    return toks
+    for m in _TOKEN_RE.finditer(src):  # back to back, as every position matches
+        kind = m.lastgroup
+        tok = _Tok(kind, m.group(kind), m.start(kind))
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
+        toks.append(tok)
+        if kind == "EOF":
+            return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent; backtracking only at the term-vs-formula fork)
+# Parser (precedence climbing over _OPERATORS; backtracking only at the
+# term-vs-formula fork)
 
 
 class _Parser:
@@ -476,36 +469,40 @@ class _Parser:
         self.i = 0
         self.constants = constants
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.toks[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> _Tok:
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> _Tok:
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(f"expected {what}", tok.pos)
         return self.next()
 
-    # terms: sum := app ("+" app)* ; app := unary ("." unary)* ;
-    # unary := "!" unary | name | "(" term ")"
+    def binary(self, ops: dict, operand, level: int = 0):
+        """An operand, then each operator of ops whose precedence is at
+        least level, with its right operand: the operators above its
+        precedence, or from its precedence on if it groups to the right."""
+        left = operand()
+        op = ops.get(self.peek().kind)
+        while op is not None and op.prec >= level:
+            self.i += 1
+            right = self.binary(ops, operand, op.prec if op.right else op.prec + 1)
+            left = op.node(left, right)
+            op = ops.get(self.peek().kind)
+        return left
 
     def term(self) -> Term:
-        t = self.app()
-        while self.peek().kind == "PLUS":
-            self.next()
-            t = Sum(t, self.app())
-        return t
+        return self.binary(_TERM_OPS, self.unary)
 
-    def app(self) -> Term:
-        t = self.unary()
-        while self.peek().kind == "DOT":
-            self.next()
-            t = App(t, self.unary())
-        return t
+    def formula(self) -> Formula:
+        return self.binary(_FORMULA_OPS, self.just)
+
+    # unary := "!" unary | name | "(" term ")"
 
     def unary(self) -> Term:
         tok = self.peek()
@@ -527,29 +524,7 @@ class _Parser:
             return Variable(name)
         raise ParseError("expected term", tok.pos)
 
-    # formulas: imp := or ("->" imp)? ; or := and ("\/" and)* ;
-    # and := just ("/\" just)* ; just := term ":" just | atomic
-
-    def formula(self) -> Formula:
-        a = self.disj()
-        if self.peek().kind == "ARROW":
-            self.next()
-            return Implies(a, self.formula())
-        return a
-
-    def disj(self) -> Formula:
-        a = self.conj()
-        while self.peek().kind == "OR":
-            self.next()
-            a = Or(a, self.conj())
-        return a
-
-    def conj(self) -> Formula:
-        a = self.just()
-        while self.peek().kind == "AND":
-            self.next()
-            a = And(a, self.just())
-        return a
+    # just := term ":" just | atomic
 
     def just(self) -> Formula:
         tok = self.peek()

@@ -59,6 +59,15 @@ def test_parse_term(capsys):
     assert out == "!x.y\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_parse_term_full_parens(capsys, fmt):
+    rc, out, _ = run(capsys, "parse", "--term", "--full-parens",
+                     "--format", fmt, "x.y + !z")
+    assert rc == 0
+    printed = json.loads(out)["canonical"] if fmt == "json" else out
+    assert printed.rstrip("\n") == "((x.y) + (!z))"
+
+
 def test_parse_json(capsys):
     rc, out, _ = run(capsys, "parse", "x:p", "--format", "json")
     assert rc == 0

@@ -360,6 +360,27 @@ proof:
         parse_proof("")
 
 
+# a proof step and a CS entry are one formula each: never split at commas
+@pytest.mark.parametrize("parse,text,line,message", [
+    (parse_proof, "proof:\n  1. p -> ; ax IPC-1\n", 2,
+     "line 2: bad formula: expected formula (at position 4)"),
+    (parse_proof, "hypotheses:\n  1. x:p\n  2. (p\nproof:\n  1. x:p ; hyp 1\n", 3,
+     "line 3: bad formula: expected ')' (at position 2)"),
+    (parse_proof, "# comment\n\nproof:\n  1. p, q ; hyp 1\n", 4,
+     "line 4: bad formula: unexpected character ',' (at position 1)"),
+    (parse_cs, "c1 := ax J-T\nkb := x:p ->\n", 2,
+     "line 2: bad formula: expected formula (at position 6)"),
+    (parse_cs, "\n# c\nkb := p -> p, q -> q\n", 3,
+     "line 3: bad formula: unexpected character ',' (at position 6)"),
+    (parse_cs, "kb := x:p -> p   # J-T\nkc := p ?\n", 2,
+     "line 2: bad formula: unexpected character '?' (at position 2)"),
+])
+def test_proof_and_cs_file_bad_item(parse, text, line, message):
+    with pytest.raises(FileFormatError) as exc:
+        parse(text)
+    assert (exc.value.line, str(exc.value)) == (line, message)
+
+
 def test_with_hypotheses_remaps():
     widened = with_hypotheses(ACCEPT, (q, Just(x, p)))
     assert check_proof(widened, CS).ok

@@ -401,3 +401,16 @@ def test_parse_universe_errors():
         parse_universe("universe: p\ngoal: p, q\n")
     with pytest.raises(FileFormatError):
         parse_universe("")
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("universe: p, q ->\n", 1, "line 1: expected formula (at position 4)"),
+    ("# comment\n\nuniverse: p\n  q /\\\n", 4,
+     "line 4: expected formula (at position 4)"),
+    ("universe: p\ngoal: p ?\n", 2, "line 2: unexpected character '?' (at position 2)"),
+    ("universe: p\nbase: x:y, q\n", 2, "line 2: expected formula (at position 2)"),
+])
+def test_universe_file_bad_item(text, line, message):
+    with pytest.raises(FileFormatError) as exc:
+        parse_universe(text)
+    assert (exc.value.line, str(exc.value)) == (line, message)

@@ -354,6 +354,24 @@ def test_model_file_errors():
         parse_model("worlds: w0\norder:\n  w0 <= w9\n")
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("worlds: w0 w1\nevidence:\n  w0 | x | p, q ->\n", 3,
+     "line 3: expected formula (at position 4)"),
+    ("worlds: w0\n# comment\n\nevidence:\n  w0 | p | q\n", 5,
+     "line 5: atom 'p' used as a term (at position 0)"),
+    # the evidence term is one item: it is not split at commas
+    ("worlds: w0\nevidence:\n  w0 | x, y | p\n", 3,
+     "line 3: unexpected character ',' (at position 1)"),
+    ("worlds: w0\nterms: x, y +\n", 2, "line 2: expected term (at position 3)"),
+    ("worlds: w0\n\nformulas: p, (q   # open\n", 3,
+     "line 3: expected ')' (at position 2)"),
+])
+def test_model_file_bad_item(text, line, message):
+    with pytest.raises(FileFormatError) as exc:
+        parse_model(text)
+    assert (exc.value.line, str(exc.value)) == (line, message)
+
+
 def test_model_file_closes_order():
     text = """worlds: a b c
 order:

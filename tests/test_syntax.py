@@ -83,22 +83,67 @@ def test_parse_formula(src, expected):
     assert parse_formula(src) == expected
 
 
+# (node, minimal form, fully parenthesized form): each binary operator as
+# the left and the right operand of each operator of its sort, "!" over a
+# binary term, and "t:A" over each connective and with a binary term
 print_cases = [
-    (Sum(x, y), "x + y"),
-    (Just(App(x, y), p), "x.y:p"),
-    (Implies(Or(p, q), FALSUM), "p \\/ q -> _|_"),
-    (Just(Bang(x), Just(x, p)), "!x:x:p"),
-    (And(p, And(q, r)), "p /\\ (q /\\ r)"),
-    (Implies(Implies(p, q), r), "(p -> q) -> r"),
+    (Sum(x, y), "x + y", "(x + y)"),
+    (Just(App(x, y), p), "x.y:p", "((x.y):p)"),
+    (Implies(Or(p, q), FALSUM), "p \\/ q -> _|_", "((p \\/ q) -> _|_)"),
+    (Just(Bang(x), Just(x, p)), "!x:x:p", "((!x):(x:p))"),
+    (And(p, And(q, r)), "p /\\ (q /\\ r)", "(p /\\ (q /\\ r))"),
+    (Implies(Implies(p, q), r), "(p -> q) -> r", "((p -> q) -> r)"),
+    (Sum(Sum(x, y), z), "x + y + z", "((x + y) + z)"),
+    (Sum(x, Sum(y, z)), "x + (y + z)", "(x + (y + z))"),
+    (Sum(App(x, y), z), "x.y + z", "((x.y) + z)"),
+    (Sum(x, App(y, z)), "x + y.z", "(x + (y.z))"),
+    (App(Sum(x, y), z), "(x + y).z", "((x + y).z)"),
+    (App(x, Sum(y, z)), "x.(y + z)", "(x.(y + z))"),
+    (App(App(x, y), z), "x.y.z", "((x.y).z)"),
+    (App(x, App(y, z)), "x.(y.z)", "(x.(y.z))"),
+    (Bang(App(x, y)), "!(x.y)", "(!(x.y))"),
+    (Bang(Sum(x, y)), "!(x + y)", "(!(x + y))"),
+    (Implies(p, Implies(q, r)), "p -> q -> r", "(p -> (q -> r))"),
+    (Implies(Or(p, q), r), "p \\/ q -> r", "((p \\/ q) -> r)"),
+    (Implies(p, Or(q, r)), "p -> q \\/ r", "(p -> (q \\/ r))"),
+    (Implies(And(p, q), r), "p /\\ q -> r", "((p /\\ q) -> r)"),
+    (Implies(p, And(q, r)), "p -> q /\\ r", "(p -> (q /\\ r))"),
+    (Or(Implies(p, q), r), "(p -> q) \\/ r", "((p -> q) \\/ r)"),
+    (Or(p, Implies(q, r)), "p \\/ (q -> r)", "(p \\/ (q -> r))"),
+    (Or(Or(p, q), r), "p \\/ q \\/ r", "((p \\/ q) \\/ r)"),
+    (Or(p, Or(q, r)), "p \\/ (q \\/ r)", "(p \\/ (q \\/ r))"),
+    (Or(And(p, q), r), "p /\\ q \\/ r", "((p /\\ q) \\/ r)"),
+    (Or(p, And(q, r)), "p \\/ q /\\ r", "(p \\/ (q /\\ r))"),
+    (And(Implies(p, q), r), "(p -> q) /\\ r", "((p -> q) /\\ r)"),
+    (And(p, Implies(q, r)), "p /\\ (q -> r)", "(p /\\ (q -> r))"),
+    (And(Or(p, q), r), "(p \\/ q) /\\ r", "((p \\/ q) /\\ r)"),
+    (And(p, Or(q, r)), "p /\\ (q \\/ r)", "(p /\\ (q \\/ r))"),
+    (And(And(p, q), r), "p /\\ q /\\ r", "((p /\\ q) /\\ r)"),
+    (Just(x, Implies(p, q)), "x:(p -> q)", "(x:(p -> q))"),
+    (Just(x, Or(p, q)), "x:(p \\/ q)", "(x:(p \\/ q))"),
+    (Just(x, And(p, q)), "x:(p /\\ q)", "(x:(p /\\ q))"),
+    (Just(Sum(x, y), p), "x + y:p", "((x + y):p)"),
 ]
 
+UNICODE = [("->", "→"), ("/\\", "∧"), ("\\/", "∨"), ("_|_", "⊥"), (".", "·")]
 
-@pytest.mark.parametrize("a,expected", print_cases)
-def test_print(a, expected):
+
+# stable ids: index and minimal form
+@pytest.mark.parametrize("a,minimal,full", print_cases,
+                         ids=[f"a{i}-{case[1]}" for i, case in enumerate(print_cases)])
+def test_print(a, minimal, full):
+    """Both printed forms, and each parses back, also in Unicode."""
     if isinstance(a, (Sum, App, Bang, Variable, Constant)):
-        assert print_term(a) == expected
+        show, parse = print_term, parse_term
     else:
-        assert print_formula(a) == expected
+        show, parse = print_formula, parse_formula
+    assert show(a) == minimal
+    assert show(a, full_parens=True) == full
+    for text in (minimal, full):
+        assert parse(text) == a
+        for ascii_form, unicode_form in UNICODE:
+            text = text.replace(ascii_form, unicode_form)
+        assert parse(text) == a
 
 
 def test_unicode_aliases():
@@ -107,20 +152,39 @@ def test_unicode_aliases():
     assert parse_term("x · y") == App(x, y)
 
 
+# (input, parser, message, position)
 error_cases = [
-    ("x + + y", parse_term),
-    ("p -> (", parse_formula),
-    ("", parse_formula),
-    ("p q", parse_formula),
-    (")", parse_term),
+    ("x + + y", parse_term, "expected term", 4),
+    ("p -> (", parse_formula, "expected formula", 6),
+    ("", parse_formula, "expected formula", 0),
+    ("p q", parse_formula, "unexpected 'q' after formula", 2),
+    (")", parse_term, "expected term", 0),
+    ("x.p:q", parse_formula, "expected formula", 0),
+    ("!p", parse_formula, "expected formula", 0),
+    ("!p", parse_term, "atom 'p' used as a term", 1),
+    ("(x + y) -> p", parse_formula, "expected formula", 1),
+    ("((x)", parse_term, "expected ')'", 4),
+    ("((x)", parse_formula, "expected formula", 2),
+    ("p ?", parse_formula, "unexpected character '?'", 2),
+    ("p ->\t\n", parse_formula, "expected formula", 6),
+    ("x +\n\t+ y", parse_term, "expected term", 5),
+    ("p\t\n/\\ q\n)", parse_formula, "unexpected ')' after formula", 8),
+    ("x:\tp\n->", parse_formula, "expected formula", 7),
+    ("p -> x", parse_formula, "expected formula", 5),
+    ("x:y", parse_formula, "expected formula", 2),
+    ("p → q ∧", parse_formula, "expected formula", 7),
+    ("x · ", parse_term, "expected term", 4),
 ]
 
 
-@pytest.mark.parametrize("src,fn", error_cases)
-def test_errors(src, fn):
+# stable ids: input and parser
+@pytest.mark.parametrize("src,fn,message,pos", error_cases,
+                         ids=[f"{case[0]}-{case[1].__name__}" for case in error_cases])
+def test_errors(src, fn, message, pos):
     with pytest.raises(ParseError) as exc:
         fn(src)
-    assert exc.value.pos >= 0
+    assert (exc.value.message, exc.value.pos) == (message, pos)
+    assert str(exc.value) == f"{message} (at position {pos})"
 
 
 def test_error_position():
