@@ -64,6 +64,10 @@ class FormulaUniverse:
     (lexicographic on printed form)."""
 
     formulas: tuple[Formula, ...]
+    formula_set: frozenset[Formula] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "formula_set", frozenset(self.formulas))
 
     @classmethod
     def from_formulas(cls, formulas) -> "FormulaUniverse":
@@ -71,7 +75,7 @@ class FormulaUniverse:
         return cls(tuple(sorted(closed, key=formula_key)))
 
     def __contains__(self, a: Formula) -> bool:
-        return a in self.formulas
+        return a in self.formula_set
 
     def __iter__(self):
         return iter(self.formulas)
@@ -102,10 +106,18 @@ ORACLE_EVIDENCE_BUDGET = 6
 
 
 class DerivabilityOracle:
-    """Layered sequent oracle: a bounded proof search answers Derivable
-    with a checkable proof; failing that, a countermodel search on the
-    curried implication answers RefutedBySemantics with a validated
-    model; failing both, Unknown.  Answers are memoized per sequent."""
+    """Layered sequent oracle.  Unless the goal is among the hypotheses,
+    a countermodel search on the curried implication at one world comes
+    first and answers RefutedBySemantics with a validated model; failing
+    that, a bounded proof search answers Derivable with a checkable
+    proof; failing that, the countermodel search up to ORACLE_MAX_WORLDS
+    worlds answers RefutedBySemantics; failing all, Unknown.
+
+    The order cannot change an answer: a sequent with a validated
+    countermodel has no checking proof, and the full search enumerates
+    one-world models first, so a one-world hit is its first model too.
+    A goal among the hypotheses is derivable, so it skips the search
+    that cannot succeed.  Answers are memoized per sequent."""
 
     def __init__(self, cs: ConstantSpecification, depth: int):
         self.cs = cs
@@ -118,24 +130,28 @@ class DerivabilityOracle:
         if key in self.cache:
             return self.cache[key]
         ordered = tuple(sorted(hyps, key=formula_key))
-        result = bounded_derive(ordered, goal, self.cs, self.depth)
-        if isinstance(result, Derivable):
-            cert: Certificate = result
-        else:
-            chain = goal
-            for h in reversed(ordered):
-                chain = Implies(h, chain)
+        chain = goal
+        for h in reversed(ordered):
+            chain = Implies(h, chain)
+        found = None
+        if goal not in hyps:
+            found = find_countermodel(chain, 1, ORACLE_EVIDENCE_BUDGET, self.cs)
+        if found is None:
+            result = bounded_derive(ordered, goal, self.cs, self.depth)
+            if isinstance(result, Derivable):
+                self.cache[key] = result
+                return result
             found = find_countermodel(
                 chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
             )
-            if found is None:
-                cert = Unknown(
-                    f"no proof at depth {self.depth}; no countermodel "
-                    f"within {ORACLE_MAX_WORLDS} worlds"
-                )
-            else:
-                witness = _sequent_world(found.model, ordered, goal)
-                cert = RefutedBySemantics(Countermodel(found.model, witness))
+        if found is None:
+            cert: Certificate = Unknown(
+                f"no proof at depth {self.depth}; no countermodel "
+                f"within {ORACLE_MAX_WORLDS} worlds"
+            )
+        else:
+            witness = _sequent_world(found.model, ordered, goal)
+            cert = RefutedBySemantics(Countermodel(found.model, witness))
         self.cache[key] = cert
         return cert
 
@@ -260,7 +276,7 @@ def prime_saturate(
     and are recorded.  Raises FailedPrecondition if n already derives
     the goal."""
     members = frozenset(n)
-    if not members <= frozenset(u.formulas):
+    if not members <= u.formula_set:
         raise ValueError("base is not inside the universe")
     oracle = DerivabilityOracle(cs, k)
     first = oracle.query(members, goal)
@@ -371,7 +387,7 @@ def bounded_canonical_model(
     if len(u) > cap:
         raise CapExceeded(f"universe has {len(u)} formulas; cap is {cap}")
 
-    inu = frozenset(u.formulas)
+    inu = u.formula_set
     forced = frozenset(
         a for a in inu
         if match_axiom(a) or (

@@ -47,7 +47,6 @@ from jlogic.syntax import (
     Term,
     close_subformulas,
     close_subterms,
-    formula_atoms,
     formula_key,
     formula_terms,
     parse_formula,
@@ -441,13 +440,14 @@ def find_countermodel(
     if evidence_budget < 0:
         raise ValueError("the evidence budget must be at least 0")
     cs = cs if cs is not None else ConstantSpecification.default_schematic()
-    atom_names = sorted(formula_atoms(a))
+    f_universe = subformulas(a)
+    atom_names = sorted({f.name for f in f_universe if isinstance(f, Atom)})
+    justs = [f for f in f_universe if isinstance(f, Just)]
     pool = sorted(
-        ((f.term, f.body) for f in subformulas(a) if isinstance(f, Just)),
+        ((f.term, f.body) for f in justs),
         key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
     )
-    f_universe = subformulas(a)
-    t_universe = close_subterms(formula_terms(a))
+    t_universe = close_subterms(f.term for f in justs)
     t_order = sorted(t_universe, key=term_size)
 
     for n in range(1, max_worlds + 1):

@@ -255,10 +255,12 @@ def is_constant_name(name: str, declared: frozenset[str] = frozenset()) -> bool:
 # Structural utilities
 
 
-def subterms(t: Term) -> frozenset[Term]:
-    """Least set containing t and closed under immediate subterms."""
+def close_subterms(terms) -> frozenset[Term]:
+    """Least set containing terms and closed under immediate subterms.
+    One visited set serves every root, so each distinct node is walked
+    once."""
     out = set()
-    stack = [t]
+    stack = list(terms)
     while stack:
         cur = stack.pop()
         if cur in out:
@@ -272,10 +274,11 @@ def subterms(t: Term) -> frozenset[Term]:
     return frozenset(out)
 
 
-def subformulas(a: Formula) -> frozenset[Formula]:
-    """Least set containing a and closed under immediate subformulas."""
+def close_subformulas(formulas) -> frozenset[Formula]:
+    """Least set containing formulas and closed under immediate
+    subformulas, walking each distinct node once."""
     out = set()
-    stack = [a]
+    stack = list(formulas)
     while stack:
         cur = stack.pop()
         if cur in out:
@@ -289,20 +292,45 @@ def subformulas(a: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
+def subterms(t: Term) -> frozenset[Term]:
+    """Least set containing t and closed under immediate subterms."""
+    return close_subterms((t,))
+
+
+def subformulas(a: Formula) -> frozenset[Formula]:
+    """Least set containing a and closed under immediate subformulas."""
+    return close_subformulas((a,))
+
+
 def term_size(t: Term) -> int:
-    if isinstance(t, (App, Sum)):
-        return 1 + term_size(t.left) + term_size(t.right)
-    if isinstance(t, Bang):
-        return 1 + term_size(t.inner)
-    return 1
+    """Number of nodes of t as a tree, counted with an explicit stack."""
+    size = 0
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        size += 1
+        if isinstance(cur, (App, Sum)):
+            stack.append(cur.left)
+            stack.append(cur.right)
+        elif isinstance(cur, Bang):
+            stack.append(cur.inner)
+    return size
 
 
 def formula_size(a: Formula) -> int:
-    if isinstance(a, (And, Or, Implies)):
-        return 1 + formula_size(a.left) + formula_size(a.right)
-    if isinstance(a, Just):
-        return 1 + formula_size(a.body)
-    return 1
+    """Number of connectives and leaves of a as a tree, counted with an
+    explicit stack; a t:A counts one for the colon and none for t."""
+    size = 0
+    stack = [a]
+    while stack:
+        cur = stack.pop()
+        size += 1
+        if isinstance(cur, (And, Or, Implies)):
+            stack.append(cur.left)
+            stack.append(cur.right)
+        elif isinstance(cur, Just):
+            stack.append(cur.body)
+    return size
 
 
 def formula_terms(a: Formula) -> frozenset[Term]:
@@ -311,25 +339,7 @@ def formula_terms(a: Formula) -> frozenset[Term]:
 
 
 def formula_atoms(a: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    for f in subformulas(a):
-        if isinstance(f, Atom):
-            out.add(f.name)
-    return frozenset(out)
-
-
-def close_subformulas(formulas) -> frozenset[Formula]:
-    out: set[Formula] = set()
-    for a in formulas:
-        out |= subformulas(a)
-    return frozenset(out)
-
-
-def close_subterms(terms) -> frozenset[Term]:
-    out: set[Term] = set()
-    for t in terms:
-        out |= subterms(t)
-    return frozenset(out)
+    return frozenset(f.name for f in subformulas(a) if isinstance(f, Atom))
 
 
 # ---------------------------------------------------------------------------

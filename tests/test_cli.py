@@ -1,6 +1,7 @@
 """Exit codes, output determinism, and pipeline self-consistency of the
 command line tool."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,56 @@ def test_byte_identical_runs(argv):
     assert first.stdout
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+# SHA-256 of stdout, pinned so that a change to the oracle or the search
+# cannot move these bytes unnoticed
+PINNED = {
+    "saturate sat-application.txt text":
+        "746148d03988765c9082f458919de4739e4441aec44c25eee1c31d0099549924",
+    "saturate sat-application.txt json":
+        "f73f0d2e4432835e06b0eb406cbea3eaa7b063e4a05b16af38b997a6e8504d88",
+    "saturate sat-disjunction.txt text":
+        "278f2bb5b8e3bdf8986d5fa2ef085a095a3f956edc147010383d6baed47fca18",
+    "saturate sat-disjunction.txt json":
+        "e37d19e80fc2ea92c1b6296d35a54eeb87c55f8c56a6d9537b1a224cab997ff7",
+    "saturate sat-evidence.txt text":
+        "a6e5cfc4912f0d1b672418580bff8ee1d4d7419bbd0a761f1e4b64af0f92615a",
+    "saturate sat-evidence.txt json":
+        "8d24ee380025638856702fdd4e0bd6571e9da31bc296adaa198dae6bdb441c5b",
+    "saturate sat-introspection.txt text":
+        "3d11d5c5e30b71f8348d92cb75883dacff8388874ee44888566446f3874a79fa",
+    "saturate sat-introspection.txt json":
+        "fccd96f6ee8e982d291091d8e5eedc0aa6626941a9594cd176aeb542d0fcd080",
+    "saturate sat-peirce.txt text":
+        "0cccaf65e2eaabdc3f5ce4f9b73878c43f456841aee7face7f6a3959be951bda",
+    "saturate sat-peirce.txt json":
+        "0ee3cb652a52153bd830f35d0ff3ccd9eb51e997209665aee8bb460c90e0f0c9",
+    "canonical canon-atom.txt text":
+        "cbfc14d10f914ac6201611783940c18ce427c721ea84f06afe198f80d91b1c01",
+    "canonical canon-atom.txt json":
+        "b9667515d853208a354d5965d08774a8ec614940913bc902544b68af63207c1c",
+    "canonical canon-disjunction.txt text":
+        "79cfbcae3e4ee70cc5914de52c91e7a72565f1193fa79216f759877cfbf4ce31",
+    "canonical canon-disjunction.txt json":
+        "be438e0ccc6212c67c9f68000eb1feb9d31eb5749e699b36540efece7ecf327a",
+    "canonical canon-evidence.txt text":
+        "b2d26a984d9b71324970cb725dad358bffcce571d7f96b672a0373ca72c8d3ed",
+    "canonical canon-evidence.txt json":
+        "61e14a0557b591195b049ff4a7cc14f10f8c8077138c5acf5e7f5124fcda3d82",
+    "canonical canon-implication.txt text":
+        "89c1742ce9faa370e07429daffea1d1d7ed78c71f96a980e4dacdaf7b74d2d24",
+    "canonical canon-implication.txt json":
+        "c7f479d97087a783777453cba65a3504ea1e3ce2642d87f8a9aa226d1c77feaf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_saturate_canonical_stdout_pinned(capsys, case):
+    command, name, fmt = case.split()
+    rc, out, err = run(capsys, command, universe(name), "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[case]
 
 
 def test_deep_countermodel_goal():

@@ -6,15 +6,25 @@ from importlib import resources
 
 import pytest
 
+from jlogic import saturation
 from jlogic.generators import random_formula
 from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
     bounded_derive,
     check_proof,
+    print_proof,
 )
-from jlogic.semantics import evaluate_truth, find_countermodel, validate_model
+from jlogic.semantics import (
+    Countermodel,
+    evaluate_truth,
+    find_countermodel,
+    print_model,
+    validate_model,
+)
 from jlogic.saturation import (
+    ORACLE_EVIDENCE_BUDGET,
+    ORACLE_MAX_WORLDS,
     BoundedTheory,
     CapExceeded,
     DerivabilityOracle,
@@ -39,6 +49,7 @@ from jlogic.syntax import (
     Or,
     Variable,
     close_subterms,
+    formula_key,
     formula_terms,
     parse_formula,
     print_formula,
@@ -85,6 +96,35 @@ def test_oracle_caches():
     a = o.query(frozenset(), Implies(p, p))
     b = o.query(frozenset(), Implies(p, p))
     assert a is b
+
+
+def counting(monkeypatch, name):
+    """Replace saturation.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(saturation, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(saturation, name, wrapper)
+    return calls
+
+
+def test_oracle_refutes_before_proving(monkeypatch):
+    calls = counting(monkeypatch, "bounded_derive")
+    o = DerivabilityOracle(CS, 4)
+    assert isinstance(o.query(frozenset({Implies(p, q)}), p), RefutedBySemantics)
+    assert calls == []  # a one-world countermodel settles it
+    assert isinstance(o.query(frozenset({Just(x, p)}), p), Derivable)
+    assert len(calls) == 1
+
+
+def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
+    calls = counting(monkeypatch, "find_countermodel")
+    cert = DerivabilityOracle(CS, 4).query(frozenset({p}), p)
+    assert isinstance(cert, Derivable)
+    assert calls == []
 
 
 # --- split_disjunction ------------------------------------------------------
@@ -227,21 +267,31 @@ def holds(m, w, formulas):
     return all(evaluate_truth(m, w, a) for a in formulas)
 
 
-def universe_specs():
-    """The shipped universes and a seeded sample of small random ones."""
+def random_specs(seed, count, sizes):
+    """count seeded random universes whose size is in sizes."""
+    rng = random.Random(seed)
+    kept = 0
+    while kept < count:
+        text = ", ".join(str(random_formula(rng, 2, variables=("x", "y")))
+                         for _ in range(2))
+        spec = parse_universe(f"universe: {text}\n", CS)
+        if len(spec.universe) in sizes:
+            kept += 1
+            yield f"random: {text}", spec
+
+
+def shipped_specs():
     root = resources.files("jlogic") / "universes"
     for path in sorted(root.iterdir(), key=lambda e: e.name):
         if path.name.endswith(".txt"):
             yield path.name, parse_universe(path.read_text(), CS)
-    rng = random.Random("oracle-differential")
-    kept = 0
-    while kept < 12:  # universes of up to six formulas keep this quick
-        text = ", ".join(str(random_formula(rng, 2, variables=("x", "y")))
-                         for _ in range(2))
-        spec = parse_universe(f"universe: {text}\n", CS)
-        if len(spec.universe) <= 6:
-            kept += 1
-            yield f"random: {text}", spec
+
+
+def universe_specs():
+    """The shipped universes and a seeded sample of small random ones."""
+    yield from shipped_specs()
+    # universes of up to six formulas keep this quick
+    yield from random_specs("oracle-differential", 12, range(7))
 
 
 def test_oracle_never_proves_and_refutes_one_sequent():
@@ -286,6 +336,88 @@ def test_oracle_never_proves_and_refutes_one_sequent():
         derived += len(proofs)
         refuted += len(models)
     assert derived > 20 and refuted > 50
+
+
+def proof_first_query(self, hyps, goal):
+    """DerivabilityOracle.query in the proof-first order: the bounded
+    proof search, then the countermodel search up to ORACLE_MAX_WORLDS
+    worlds, with no one-world search before the proof search."""
+    hyps = frozenset(hyps)
+    key = (hyps, goal)
+    if key in self.cache:
+        return self.cache[key]
+    ordered = tuple(sorted(hyps, key=formula_key))
+    result = bounded_derive(ordered, goal, self.cs, self.depth)
+    if isinstance(result, Derivable):
+        cert = result
+    else:
+        chain = goal
+        for h in reversed(ordered):
+            chain = Implies(h, chain)
+        found = find_countermodel(
+            chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
+        )
+        if found is None:
+            cert = Unknown(
+                f"no proof at depth {self.depth}; no countermodel "
+                f"within {ORACLE_MAX_WORLDS} worlds"
+            )
+        else:
+            witness = saturation._sequent_world(found.model, ordered, goal)
+            cert = RefutedBySemantics(Countermodel(found.model, witness))
+    self.cache[key] = cert
+    return cert
+
+
+def describe(cert):
+    """A certificate as text: its kind and its proof, model and world, or
+    reason."""
+    if isinstance(cert, Derivable):
+        return ("Derivable", print_proof(cert.proof))
+    if isinstance(cert, RefutedBySemantics):
+        cm = cert.countermodel
+        return ("RefutedBySemantics", print_model(cm.model), cm.world)
+    return ("Unknown", cert.reason)
+
+
+def oracle_transcript(monkeypatch, query, specs):
+    """Every oracle answer, in order, of saturating, checking and building
+    the canonical model of each universe with query as the oracle, and
+    the results of those operations."""
+    log = []
+
+    def recording(self, hyps, goal):
+        cert = query(self, hyps, goal)
+        log.append(("query", sorted(map(print_formula, hyps)),
+                    print_formula(goal), describe(cert)))
+        return cert
+
+    monkeypatch.setattr(DerivabilityOracle, "query", recording)
+    for name, spec in specs:
+        goal = spec.goal if spec.goal is not None else FALSUM
+        try:
+            th = prime_saturate(spec.base, goal, spec.universe, CS, 4)
+            log.append(("saturate", name, members_of(th), str(check_prime(th, CS))))
+        except FailedPrecondition as e:
+            log.append(("saturate", name, str(e)))
+        cm = bounded_canonical_model(spec.universe, CS, 4)
+        log.append(("canonical", name, print_model(cm.model),
+                    sorted(sorted(map(print_formula, s)) for s in cm.excluded_unknown)))
+    return log
+
+
+def test_oracle_matches_proof_first_reference(monkeypatch):
+    """Refuting at one world before the proof search changes no answer and
+    no certificate."""
+    specs = [*shipped_specs(),
+             *random_specs("proof-first-reference", 16, range(3, 7))]
+    # derivable in IPC, but its proof needs IPC-8, so the oracle says Unknown
+    specs.append(("unknown", parse_universe("universe: _|_ \\/ q -> p -> q\n", CS)))
+    new = oracle_transcript(monkeypatch, DerivabilityOracle.query, specs)
+    reference = oracle_transcript(monkeypatch, proof_first_query, specs)
+    assert new == reference
+    kinds = {entry[3][0] for entry in new if entry[0] == "query"}
+    assert kinds == {"Derivable", "RefutedBySemantics", "Unknown"}
 
 
 # --- inverse_evidence -------------------------------------------------------

@@ -26,9 +26,12 @@ from jlogic.syntax import (
     ParseError,
     Sum,
     Variable,
+    close_subformulas,
+    close_subterms,
     formula_atoms,
     formula_key,
     formula_size,
+    formula_terms,
     parse_formula,
     parse_term,
     print_formula,
@@ -325,6 +328,22 @@ def test_deep_equality_does_not_recurse():
         a, b, c = Just(x, a), Just(Variable("x"), b), Just(x, c)
     assert a == b
     assert a != c
+
+
+def test_deep_size_does_not_recurse():
+    assert formula_size(deep_chain(3000)) == 6001
+    t = x
+    for _ in range(3000):
+        t = App(Bang(t), y)
+    assert term_size(t) == 9001
+    assert formula_size(Just(t, deep_chain(3000))) == 6002
+
+
+@given(formulas, formulas)
+def test_closure_of_roots_is_union_of_their_closures(a, b):
+    assert close_subformulas([a, b, a]) == subformulas(a) | subformulas(b)
+    ts = formula_terms(a) | formula_terms(b)
+    assert close_subterms(ts) == frozenset().union(*map(subterms, ts))
 
 
 def test_equality_does_not_trust_hashes():
