@@ -786,6 +786,9 @@ class _Searcher:
         self.cs = cs
         self.proofs: dict = {}  # (hyps frozenset, goal) -> Proof over the pool
         self.failed: dict = {}  # (hyps frozenset, goal) -> highest failed bound
+        # (x, goal) -> Implies(x, goal), built once, so that the memo keys
+        # of a major premise are the same node every time
+        self.majors: dict = {}
 
     def derive(self, hyps: frozenset, goal: Formula, k: int) -> Proof | None:
         key = (hyps, goal)
@@ -833,11 +836,15 @@ class _Searcher:
         return with_hypotheses(deduce(sub, goal.left), self.pool)
 
     def _invert_mp(self, hyps, goal, k) -> Proof | None:
+        majors = self.majors
         for x in self.pool:
             minor = self.derive(hyps, x, k - 1)
             if minor is None:
                 continue
-            major = self.derive(hyps, Implies(x, goal), k - 1)
+            implication = majors.get((x, goal))
+            if implication is None:
+                implication = majors[(x, goal)] = Implies(x, goal)
+            major = self.derive(hyps, implication, k - 1)
             if major is None:
                 continue
             return _combine_mp(major, minor)

@@ -53,7 +53,6 @@ from jlogic.syntax import (
     parse_term,
     print_formula,
     print_term,
-    subformulas,
     term_key,
     term_size,
 )
@@ -137,7 +136,7 @@ class BasicEvaluation:
         self.cs = cs if cs is not None else ConstantSpecification.default_schematic()
 
         self._closure: dict[Term, dict[str, frozenset[Formula]]] | None = None
-        self._truth_set = None  # the evaluator, built on first use
+        self._truth = None  # a _ModelTruth, built on first use
 
     def closure(self) -> dict[Term, dict[str, frozenset[Formula]]]:
         if self._closure is None:
@@ -215,47 +214,147 @@ def _close(worlds, order, base_evidence, terms, formula_universe, cs):
     return derived
 
 
-def _evaluator(worlds, up, atoms, derived):
-    """Truth sets over one basic evaluation, memoized per formula.
+# ---------------------------------------------------------------------------
+# Truth evaluation
+#
+# Formulas are compiled into rows (i, op, left, right), each row after the
+# rows of its operands: op is the node's class; left and right are the
+# operands' rows for And, Or and Implies, the name for an Atom, and the
+# term and the body for t:B.  Evaluating a row gives its mask: bit i is
+# set when the formula holds at the i-th world.  t:B holds where B is in
+# t*, whatever the truth of B, so a t:B row is a leaf: it reads the
+# evidence closure and no other row.
 
-    Worlds are bit positions in the order of worlds; up[i] is the set of
-    worlds above worlds[i], atoms maps an atom name to the set of worlds
-    where it holds, and derived is the evidence closure.  The returned
-    function maps a formula to the set of worlds where it holds."""
-    cache: dict[Formula, int] = {}
+_OPERANDS_DONE = object()  # on _compile's stack, above a composite formula
 
-    def truth_set(a: Formula) -> int:
-        out = cache.get(a)
-        if out is not None:
-            return out
-        if isinstance(a, Atom):
-            out = atoms.get(a.name, 0)
-        elif isinstance(a, Falsum):
-            out = 0
-        elif isinstance(a, And):
-            out = truth_set(a.left) & truth_set(a.right)
-        elif isinstance(a, Or):
-            out = truth_set(a.left) | truth_set(a.right)
-        elif isinstance(a, Implies):
-            bad = truth_set(a.left) & ~truth_set(a.right)
-            out = 0
-            for i, above in enumerate(up):
-                if not above & bad:
-                    out |= 1 << i
-        elif isinstance(a, Just):
-            per_world = derived.get(a.term)
-            if per_world is None:
-                raise UniverseNotClosed(f"term {a.term} is outside the term universe")
-            out = 0
-            for i, w in enumerate(worlds):
-                if a.body in per_world[w]:
-                    out |= 1 << i
+
+def _compile(formulas, rows: list, index: dict) -> None:
+    """Append to rows a row for each of formulas and each subformula
+    below them up to the t:B rows, unless index already has it, and
+    record its position in index.  One post-order walk with an explicit
+    stack: a composite formula goes back on the stack under a marker,
+    above its operands, and gets its row when the marker comes off, from
+    the rows of its operands, which are then the last two on done."""
+    stack = list(formulas)
+    done = []  # the row of each formula walked, the latest last
+    while stack:
+        f = stack.pop()
+        if f is _OPERANDS_DONE:
+            f = stack.pop()
+            kind = type(f)
+            right = done.pop()
+            left = done.pop()
         else:
-            raise TypeError(f"not a formula: {a!r}")
-        cache[a] = out
+            row = index.get(f)
+            if row is not None:
+                done.append(row)
+                continue
+            kind = type(f)
+            if kind is Implies or kind is And or kind is Or:
+                stack += (f, _OPERANDS_DONE, f.right, f.left)
+                continue
+            if kind is Atom:
+                left, right = f.name, None
+            elif kind is Just:
+                left, right = f.term, f.body
+            elif kind is Falsum:
+                left = right = None
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        row = index[f] = len(rows)
+        rows.append((row, kind, left, right))
+        done.append(row)
+
+
+def _run(rows, values: list, atoms: dict, full: int, below, just) -> None:
+    """Evaluate rows in order, writing each row's mask into values.
+    atoms maps an atom name to its mask, full is the mask of every
+    world, below[mask] is the mask of the worlds that see some world in
+    mask, and just(t, B) is the mask of t:B.  A -> B fails exactly at
+    the worlds that see a world where A holds and B does not."""
+    for i, op, left, right in rows:
+        if op is Implies:
+            values[i] = full & ~below[values[left] & ~values[right]]
+        elif op is And:
+            values[i] = values[left] & values[right]
+        elif op is Or:
+            values[i] = values[left] | values[right]
+        elif op is Atom:
+            values[i] = atoms.get(left, 0)
+        elif op is Just:
+            values[i] = just(left, right)
+        else:
+            values[i] = 0
+
+
+class _Below(dict):
+    """below[mask]: the mask of the worlds i with up[i] & mask, that is,
+    the worlds that see some world in mask.  Filled on demand."""
+
+    def __init__(self, up):
+        self.up = up
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        for i, above in enumerate(self.up):
+            if above & mask:
+                out |= 1 << i
+        self[mask] = out
         return out
 
-    return truth_set
+
+def _just_mask(derived, worlds, t: Term, body: Formula) -> int:
+    """The mask of t:body: the worlds w where body is in t*_w."""
+    per_world = derived.get(t)
+    if per_world is None:
+        raise UniverseNotClosed(f"term {t} is outside the term universe")
+    return sum(1 << i for i, w in enumerate(worlds) if body in per_world[w])
+
+
+class _ModelTruth:
+    """The truth sets of one model over compiled rows that grow on
+    demand: a formula not met before appends its rows and those of its
+    subformulas not met before.  values holds the masks of the rows that
+    have run, and a query first runs the rows after them.  rows and
+    index, when given, are a compile of formulas of m (find_countermodel
+    hands over the goal's subformulas); they run on the first query."""
+
+    def __init__(self, m: BasicEvaluation, rows=None, index=None):
+        position = {v: i for i, v in enumerate(m.worlds)}
+        up = [0] * len(m.worlds)
+        for u, v in m.order:
+            up[position[u]] |= 1 << position[v]
+        self.atoms: dict[str, int] = {}
+        for i, v in enumerate(m.worlds):
+            for p in m.atoms[v]:
+                self.atoms[p] = self.atoms.get(p, 0) | 1 << i
+        self.full = (1 << len(m.worlds)) - 1
+        self.below = _Below(up)
+        self.rows: list = [] if rows is None else rows
+        self.index: dict[Formula, int] = {} if index is None else index
+        self.values: list[int] = []
+
+    def mask(self, a: Formula, m: BasicEvaluation) -> int:
+        """The mask of a in m, the model this was built for.  m is passed
+        in, not kept: m keeps this object, and a reference back would
+        make a cycle that only the cyclic garbage collector frees."""
+        row = self.index.get(a)
+        if row is None or row >= len(self.values):
+            rows, index, values = self.rows, self.index, self.values
+            start = len(values)
+            try:
+                _compile((a,), rows, index)
+                values += [0] * (len(rows) - start)
+                _run(rows[start:], values, self.atoms, self.full, self.below,
+                     lambda t, body: _just_mask(m.closure(), m.worlds, t, body))
+            except BaseException:
+                # drop the rows that have not run, whose masks are unset
+                del rows[start:], values[start:]
+                for f in [f for f, i in index.items() if i >= start]:
+                    del index[f]
+                raise
+            row = index[a]
+        return self.values[row]
 
 
 def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
@@ -263,21 +362,16 @@ def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
     and disjunction pointwise, implication over all worlds above w, and
     t:A by membership of A in the derived evidence t*_w.
 
-    Computes the set of worlds where a holds, with its subformulas' sets,
-    and keeps them in a cache on m that later queries reuse."""
+    Reads the mask of a from the compiled rows kept on m.  The first
+    query of a formula compiles it, with every subformula that no earlier
+    query reached, and evaluates just those rows, without recursion.
+    Raises UniverseNotClosed for a t:B whose t is outside the term
+    universe, and TypeError for what is not a formula."""
     if w not in m.atoms:
         raise ValueError(f"unknown world {w!r}")
-    if m._truth_set is None:
-        index = {v: i for i, v in enumerate(m.worlds)}
-        up = [0] * len(m.worlds)
-        for u, v in m.order:
-            up[index[u]] |= 1 << index[v]
-        atoms: dict[str, int] = {}
-        for i, v in enumerate(m.worlds):
-            for p in m.atoms[v]:
-                atoms[p] = atoms.get(p, 0) | 1 << i
-        m._truth_set = _evaluator(m.worlds, up, atoms, m.closure())
-    return bool(m._truth_set(a) >> m.worlds.index(w) & 1)
+    if m._truth is None:
+        m._truth = _ModelTruth(m)
+    return bool(m._truth.mask(a, m) >> m.worlds.index(w) & 1)
 
 
 def check_validity(m: BasicEvaluation, a: Formula) -> bool:
@@ -336,11 +430,11 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     terms = sorted(m.term_universe, key=term_key)
     for w in m.worlds:
         for t in terms:
-            for a in sorted(derived[t][w], key=formula_key):
-                if not evaluate_truth(m, w, a):
-                    out.append(Violation("factivity", (w,),
-                                         f"{print_formula(a)} in {print_term(t)}* "
-                                         f"but false"))
+            false = [a for a in derived[t][w] if not evaluate_truth(m, w, a)]
+            for a in sorted(false, key=formula_key):
+                out.append(Violation("factivity", (w,),
+                                     f"{print_formula(a)} in {print_term(t)}* "
+                                     f"but false"))
     return CheckVerdict(not out, tuple(out))
 
 
@@ -423,15 +517,25 @@ def find_countermodel(
     the Just-subformulas of a, each placed at the minimal worlds of an
     upset, with the total seed count capped by evidence_budget.
 
-    Each candidate is judged on sets of worlds: the evaluator behind
-    evaluate_truth runs on the evidence closure of the seed assignment,
-    built when the first valuation of a poset meets it and reused by the
-    later ones.  The order laws, M1, M2 and conditions (1)-(4) hold
-    by construction (canonical posets, upset valuations, _close), so a
-    candidate is kept when a fails at some world and the candidate is
-    factive.  Only the model about to be returned goes through
-    validate_model, which re-checks the order, M1 and factivity; the
-    search raises AssertionError if that fails.  So a result
+    Candidates are judged on the goal's subformulas, compiled once per
+    search into rows (see _compile) and run over masks of worlds, with a
+    table below_of[mask] per poset for implications.  What a row's mask
+    depends on decides when it runs.  The t:B masks and the factivity
+    needs (where each evidenced subformula must hold) depend only on the
+    closure of the seed assignment: they are computed when the first
+    valuation of a poset meets the assignment and reused by the later
+    ones.  The rows below no t:B run once per valuation, and only the
+    rows above some t:B once per candidate.
+
+    The order laws, M1, M2 and conditions (1)-(4) hold by construction
+    (canonical posets, upset valuations, _close).  An evidenced formula
+    that is not a subformula of a is an s:B that condition (4) made at
+    some world u at or below the world w where it is evidenced, from B in
+    s*_u; by M2, B is in s*_w, so s:B holds at w.  So a candidate is kept
+    when a fails at some world and each evidenced subformula of a holds
+    wherever it is evidenced.  Only the model about to be returned goes
+    through validate_model, which re-checks the order, M1 and factivity;
+    the search raises AssertionError if that fails.  So a result
     certifies that a is not a theorem; None means no countermodel exists
     in the searched space, not that a is valid.
     """
@@ -440,26 +544,56 @@ def find_countermodel(
     if evidence_budget < 0:
         raise ValueError("the evidence budget must be at least 0")
     cs = cs if cs is not None else ConstantSpecification.default_schematic()
-    f_universe = subformulas(a)
+    rows: list = []
+    index: dict[Formula, int] = {}
+    _compile((a,), rows, index)
+    for _, op, _, body in rows:  # rows grows here: bodies of t:B rows too
+        if op is Just:
+            _compile((body,), rows, index)
+    f_universe = frozenset(index)  # the subformulas of a
+    goal = index[a]
+    # t:B rows, rows below no t:B, and the rows above some t:B, in order;
+    # Atom and Falsum rows name no rows as operands
+    just_rows, free, above_just = [], [], []
+    on_seeds = set()  # the rows of the first and the last kind
+    for row in rows:
+        i, op, left, right = row
+        if op is Just:
+            just_rows.append(row)
+            on_seeds.add(i)
+        elif left in on_seeds or right in on_seeds:
+            above_just.append(row)
+            on_seeds.add(i)
+        else:
+            free.append(row)
     atom_names = sorted({f.name for f in f_universe if isinstance(f, Atom)})
-    justs = [f for f in f_universe if isinstance(f, Just)]
     pool = sorted(
-        ((f.term, f.body) for f in justs),
+        ((t, b) for _, _, t, b in just_rows),
         key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
     )
-    t_universe = close_subterms(f.term for f in justs)
+    t_universe = close_subterms(t for t, _ in pool)
     t_order = sorted(t_universe, key=term_size)
 
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
+        full = (1 << n) - 1
         for up, upsets, minima, costs in _canonical_posets(n):
             order = frozenset((names[i], names[j])
                               for i in range(n) for j in range(n) if up[i] >> j & 1)
+            below_of = [0]  # grown one world j at a time: masks below 2 ** (j + 1)
+            for j in range(n):
+                seeing_j = 0
+                for i in range(n):
+                    if up[i] >> j & 1:
+                        seeing_j |= 1 << i
+                below_of += [b | seeing_j for b in below_of]
             closures = []
 
             def seeded():
-                """The closure of each seed assignment, built on the first
-                valuation pass and kept in closures for the later ones."""
+                """For each seed assignment: the base, and the t:B masks and
+                factivity needs (row, mask) of its closure, built on the
+                first valuation pass and kept in closures for the later
+                ones."""
                 for combo in _seed_assignments(costs, len(pool), evidence_budget):
                     base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
                     for (t, b), s in zip(pool, combo):
@@ -472,18 +606,25 @@ def find_countermodel(
                         for i, w in enumerate(names):
                             for f in per_world[w]:
                                 evidenced[f] = evidenced.get(f, 0) | 1 << i
-                    closures.append((base, derived, evidenced))
-                    yield base, derived, evidenced
+                    needs = [(index[f], need) for f, need in evidenced.items()
+                             if f in index]
+                    masks = [(i, _just_mask(derived, names, t, b))
+                             for i, _, t, b in just_rows]
+                    closures.append((base, masks, needs))
+                    yield base, masks, needs
 
+            values = [0] * len(rows)
             valuations = itertools.product(upsets, repeat=len(atom_names))
             for k, valuation in enumerate(valuations):
                 atoms = dict(zip(atom_names, valuation))
-                for base, derived, evidenced in closures if k else seeded():
-                    truth_set = _evaluator(names, up, atoms, derived)
-                    refuted = ~truth_set(a) & ((1 << n) - 1)
-                    if not refuted or any(
-                        need & ~truth_set(f) for f, need in evidenced.items()
-                    ):
+                _run(free, values, atoms, full, below_of, None)
+                for base, masks, needs in closures if k else seeded():
+                    if masks:
+                        for i, mask in masks:
+                            values[i] = mask
+                        _run(above_just, values, atoms, full, below_of, None)
+                    refuted = full & ~values[goal]
+                    if not refuted or any(need & ~values[row] for row, need in needs):
                         continue
                     m = BasicEvaluation(
                         names,
@@ -499,6 +640,7 @@ def find_countermodel(
                         formula_universe=f_universe,
                         cs=cs,
                     )
+                    m._truth = _ModelTruth(m, rows, index)
                     verdict = validate_model(m)
                     if not verdict.ok:
                         raise AssertionError(

@@ -478,6 +478,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
         self.constants = constants
+        self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, pos
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -507,7 +508,20 @@ class _Parser:
         return left
 
     def term(self) -> Term:
-        return self.binary(_TERM_OPS, self.unary)
+        """A term from the current position.  Whether one parses depends
+        on the position alone, so a failure is kept and raised again at
+        once: each term route that just() tries at a "(" walks down to
+        the first failure and stops there, which keeps parsing linear in
+        parenthesis nesting."""
+        start = self.i
+        failed = self.no_term.get(start)
+        if failed is not None:
+            raise ParseError(*failed)
+        try:
+            return self.binary(_TERM_OPS, self.unary)
+        except ParseError as e:
+            self.no_term[start] = (e.message, e.pos)
+            raise
 
     def formula(self) -> Formula:
         return self.binary(_FORMULA_OPS, self.just)
@@ -538,9 +552,10 @@ class _Parser:
 
     def just(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "FALSUM" or (tok.kind == "IDENT" and is_atom_name(tok.text)):
+        if _is_atomic(tok) or (tok.kind == "LPAR" and _is_atomic(self.toks[self.i + 1])):
             return self.atomic()
-        # A leading "(" may open a term or a formula; try the term route
+        # A leading "(" may open a term or a formula; unless an atom or
+        # _|_, which no term contains, follows it, try the term route
         # first and fall back unless a ":" commits us to it.
         mark = self.i
         try:
@@ -568,6 +583,11 @@ class _Parser:
             self.next()
             return Atom(tok.text)
         raise ParseError("expected formula", tok.pos)
+
+
+def _is_atomic(tok: _Tok) -> bool:
+    """Whether tok is an atom or _|_, which only a formula starts with."""
+    return tok.kind == "FALSUM" or (tok.kind == "IDENT" and is_atom_name(tok.text))
 
 
 def _parse(src: str, constants: frozenset[str], start, what: str):

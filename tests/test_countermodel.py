@@ -1,19 +1,42 @@
 """Finite countermodel search: refutations for non-theorems, silence for
 axioms, and the validity gate on everything returned."""
 
+import ast
+import hashlib
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from jlogic import semantics
 from jlogic.cli import main
+from jlogic.generators import random_formula
 from jlogic.proof_system import ConstantSpecification
 from jlogic.semantics import (
+    BasicEvaluation,
+    UniverseNotClosed,
     evaluate_truth,
     find_countermodel,
+    print_model,
     validate_model,
 )
-from jlogic.syntax import parse_formula
+from jlogic.syntax import (
+    And,
+    Atom,
+    Falsum,
+    Implies,
+    Just,
+    Or,
+    ParseError,
+    close_subterms,
+    formula_key,
+    parse_formula,
+    print_formula,
+    subformulas,
+    term_key,
+    term_size,
+)
 
 CS = ConstantSpecification.default_schematic()
 
@@ -258,3 +281,181 @@ formulas: p, p \\/ q, q, x:(p \\/ q), x:(p \\/ q) -> x:p \\/ x:q, x:p, x:p \\/ x
 def test_countermodel_stdout_pinned(capsys, src, expected):
     assert main(["countermodel", src, "--max-worlds", "3"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# --- the compiled evaluator against a reference ------------------------------
+
+
+def reference_evaluator(worlds, up, atoms, derived):
+    """Truth sets by recursion over the formula, memoized per formula:
+    the evaluator that the compiled rows replaced."""
+    cache = {}
+
+    def truth_set(a):
+        out = cache.get(a)
+        if out is not None:
+            return out
+        if isinstance(a, Atom):
+            out = atoms.get(a.name, 0)
+        elif isinstance(a, Falsum):
+            out = 0
+        elif isinstance(a, And):
+            out = truth_set(a.left) & truth_set(a.right)
+        elif isinstance(a, Or):
+            out = truth_set(a.left) | truth_set(a.right)
+        elif isinstance(a, Implies):
+            bad = truth_set(a.left) & ~truth_set(a.right)
+            out = 0
+            for i, above in enumerate(up):
+                if not above & bad:
+                    out |= 1 << i
+        elif isinstance(a, Just):
+            per_world = derived.get(a.term)
+            if per_world is None:
+                raise UniverseNotClosed(f"term {a.term} is outside the term universe")
+            out = 0
+            for i, w in enumerate(worlds):
+                if a.body in per_world[w]:
+                    out |= 1 << i
+        else:
+            raise TypeError(f"not a formula: {a!r}")
+        cache[a] = out
+        return out
+
+    return truth_set
+
+
+def reference_search(a, max_worlds, evidence_budget, cs=CS):
+    """The same enumeration as find_countermodel, judging each candidate
+    with a fresh reference_evaluator on its closure and a factivity loop
+    over every evidenced formula.  Returns (model, world) or None."""
+    f_universe = subformulas(a)
+    atom_names = sorted({f.name for f in f_universe if isinstance(f, Atom)})
+    pool = sorted(
+        ((f.term, f.body) for f in f_universe if isinstance(f, Just)),
+        key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
+    )
+    t_universe = close_subterms(t for t, _ in pool)
+    t_order = sorted(t_universe, key=term_size)
+    for n in range(1, max_worlds + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        for up, upsets, minima, costs in semantics._canonical_posets(n):
+            order = frozenset((names[i], names[j])
+                              for i in range(n) for j in range(n) if up[i] >> j & 1)
+            closures = []
+            for combo in semantics._seed_assignments(costs, len(pool), evidence_budget):
+                base = {w: {} for w in names}
+                for (t, b), s in zip(pool, combo):
+                    for i in minima[s]:
+                        base[names[i]].setdefault(t, set()).add(b)
+                derived = semantics._close(names, order, base, t_order, f_universe, cs)
+                evidenced = {}
+                for per_world in derived.values():
+                    for i, w in enumerate(names):
+                        for f in per_world[w]:
+                            evidenced[f] = evidenced.get(f, 0) | 1 << i
+                closures.append((base, derived, evidenced))
+            for valuation in itertools.product(upsets, repeat=len(atom_names)):
+                atoms = dict(zip(atom_names, valuation))
+                for base, derived, evidenced in closures:
+                    truth_set = reference_evaluator(names, up, atoms, derived)
+                    refuted = ~truth_set(a) & ((1 << n) - 1)
+                    if not refuted or any(
+                        need & ~truth_set(f) for f, need in evidenced.items()
+                    ):
+                        continue
+                    m = BasicEvaluation(
+                        names, order,
+                        {names[i]: {p for p, s in atoms.items() if s >> i & 1}
+                         for i in range(n)},
+                        base_evidence=base,
+                        term_universe=t_universe,
+                        formula_universe=f_universe,
+                        cs=cs,
+                    )
+                    return m, names[(refuted & -refuted).bit_length() - 1]
+    return None
+
+
+def goal_literals():
+    """Every string constant in the test files that parses as a formula."""
+    out = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    out.add(parse_formula(node.value))
+                except ParseError:
+                    pass
+    return sorted(out, key=formula_key)
+
+
+def random_goals(seed, count):
+    rng = random.Random(seed)
+    return [random_formula(rng, 2 + i % 3) for i in range(count)]
+
+
+def test_search_matches_reference_evaluator():
+    searches = [(a, n, 3) for a in goal_literals() for n in (1, 2)]
+    searches += [(a, 1 + i % 2, 3) for i, a in enumerate(random_goals(11, 300))]
+    searches += [(parse_formula(src), 3, 3) for src in [
+        "(p -> q) \\/ (q -> p)",
+        "(p -> _|_) \\/ ((p -> _|_) -> _|_)",
+        "x:(p \\/ q) -> x:p \\/ x:q",
+        "x:p -> x + y:p",
+    ]]
+    searches += [(a, 3, 3) for a in random_goals(12, 10)]
+    found = 0
+    for a, n, budget in searches:
+        got = find_countermodel(a, n, budget)
+        want = reference_search(a, n, budget)
+        if want is None:
+            assert got is None, print_formula(a)
+            continue
+        found += 1
+        assert got is not None, print_formula(a)
+        assert (got.world, print_model(got.model)) == (want[1], print_model(want[0]))
+    assert found > 300  # most comparisons are of countermodels
+
+
+# The benchmark's non-theorem shapes at 3 worlds, the J-axiom goals at 2
+# worlds and 200 seeded random goals, with world + print_model of the
+# first countermodel of each (or "none"), as the recursive evaluator
+# found them.
+NON_THEOREMS = [
+    "p \\/ (p -> _|_)",
+    "((p -> q) -> p) -> p",
+    "((p -> _|_) -> _|_) -> p",
+    "(p -> q) \\/ (q -> p)",
+    "(p -> _|_) \\/ ((p -> _|_) -> _|_)",
+    "(x:p -> q) -> x:q",
+    "x:(p -> _|_) -> p",
+    "x:p -> y:p",
+    "p -> x:p",
+    "x:(p \\/ q) -> x:p \\/ x:q",
+    "(p -> q) -> p",
+    "x:(p -> q) -> x:p -> y:q",
+]
+J_AXIOMS = [
+    "x:p -> !x:x:p",
+    "x:p -> x + y:p",
+    "y:p -> x + y:p",
+    "x:p -> p",
+    "x:(p -> q) -> y:p -> x.y:q",
+    "x:(p -> q) -> x:p -> x.x:q",
+]
+FIRST_COUNTERMODELS_SHA256 = (
+    "c713f08da4f2c892152bfa00d8c9fdb883320fe32cd3b734d04e1588734e2c6a"
+)
+
+
+def test_first_countermodels_pinned():
+    searches = [(parse_formula(src), 3, 6) for src in NON_THEOREMS]
+    searches += [(parse_formula(src), 2, 6) for src in J_AXIOMS]
+    searches += [(a, 1 + i % 2, 3) for i, a in enumerate(random_goals(2016, 200))]
+    digest = hashlib.sha256()
+    for a, n, budget in searches:
+        found = find_countermodel(a, n, budget)
+        text = "none\n" if found is None else found.world + "\n" + print_model(found.model)
+        digest.update(text.encode())
+    assert digest.hexdigest() == FIRST_COUNTERMODELS_SHA256

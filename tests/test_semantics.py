@@ -230,6 +230,16 @@ def test_universe_not_closed():
         evaluate_truth(m, "nowhere", p)
     with pytest.raises(UniverseNotClosed):
         evaluate_truth(m, "w0", Just(y, p))
+    # a failed query leaves no half-evaluated subformula behind
+    bad = Or(Implies(p, q), Just(y, p))
+    with pytest.raises(UniverseNotClosed):
+        evaluate_truth(m, "w0", bad)
+    with pytest.raises(UniverseNotClosed):
+        evaluate_truth(m, "w0", bad)
+    with pytest.raises(TypeError):
+        evaluate_truth(m, "w0", And(Implies(q, p), x))
+    assert evaluate_truth(m, "w0", Implies(q, p))
+    assert not evaluate_truth(m, "w0", Implies(p, q))
 
 
 # --- truth ------------------------------------------------------------------
@@ -264,6 +274,21 @@ def test_implication_quantifies_upward():
     # yet the double negation holds there
     assert evaluate_truth(m, "w0", Implies(Implies(p, FALSUM), FALSUM))
     assert evaluate_truth(m, "w0", Implies(p, p))
+
+
+def test_deep_formula_evaluates():
+    chain = p
+    for _ in range(3000):
+        chain = Implies(p, chain)
+    m = BasicEvaluation(("w0",), (("w0", "w0"),), {"w0": set()})
+    assert evaluate_truth(m, "w0", chain)
+    assert not evaluate_truth(m, "w0", Implies(chain, p))
+    m = BasicEvaluation(
+        ("w0",), (("w0", "w0"),), {"w0": set()},
+        base_evidence={"w0": {x: {chain}}},
+        formula_universe={chain},
+    )
+    assert validate_model(m).ok
 
 
 # --- validation -------------------------------------------------------------

@@ -289,6 +289,25 @@ def test_atoms_parse_without_exceptions(monkeypatch):
     assert print_formula(a) == src
 
 
+def test_paren_nesting_is_linear(monkeypatch):
+    # every "(" in formula position may open a term; each term attempt
+    # must stop at the failure an earlier one already found
+    calls = []
+    real = syntax._Parser.unary
+
+    def counting(self):
+        calls.append(self.i)
+        return real(self)
+
+    monkeypatch.setattr(syntax._Parser, "unary", counting)
+    counts = {}
+    for depth in (100, 200):
+        calls.clear()
+        assert parse_formula("(" * depth + "p" + ")" * depth) == p
+        counts[depth] = len(calls)
+    assert counts[200] <= 2 * counts[100] + 2
+
+
 def test_formula_atoms_walks_once(monkeypatch):
     # subformulas already reaches the bodies of t:A; no walk per evidence level
     calls = []
