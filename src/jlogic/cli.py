@@ -9,6 +9,7 @@ errors.  Output is deterministic for fixed inputs."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -277,63 +278,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("parse", cmd_parse, "parse a formula or term and reprint it")
+    p = add("parse", "parse a formula or term and reprint it")
     p.add_argument("input")
     p.add_argument("--term", action="store_true",
                    help="treat the input as a term")
     p.add_argument("--full-parens", action="store_true")
 
-    p = add("check", cmd_check, "check a Hilbert proof file")
+    p = add("check", "check a Hilbert proof file")
     p.add_argument("proof")
     p.add_argument("cs", nargs="?", default=None,
                    help="constant specification file (default: schematic)")
 
-    p = add("deduce", cmd_deduce, "discharge a hypothesis from a proof")
+    p = add("deduce", "discharge a hypothesis from a proof")
     p.add_argument("proof")
     p.add_argument("hypothesis")
     p.add_argument("out", nargs="?", default="-")
     p.add_argument("--cs", default=None)
 
-    p = add("internalize", cmd_internalize,
-            "lift a proof to a proof about evidence")
+    p = add("internalize", "lift a proof to a proof about evidence")
     p.add_argument("proof")
     p.add_argument("witnesses", help="comma-separated terms, one per hypothesis")
     p.add_argument("out", nargs="?", default="-")
     p.add_argument("--cs", default=None)
 
-    p = add("model-validate", cmd_model_validate, "validate a model file")
+    p = add("model-validate", "validate a model file")
     p.add_argument("model")
     p.add_argument("--cs", default=None)
 
-    p = add("model-eval", cmd_model_eval, "evaluate a formula at a world")
+    p = add("model-eval", "evaluate a formula at a world")
     p.add_argument("model")
     p.add_argument("world")
     p.add_argument("formula")
     p.add_argument("--cs", default=None)
 
-    p = add("countermodel", cmd_countermodel,
-            "search for a finite model refuting a formula")
+    p = add("countermodel", "search for a finite model refuting a formula")
     p.add_argument("formula")
     p.add_argument("--max-worlds", type=_int_in(1, 5), default=3)
     p.add_argument("--budget", type=_int_in(0), default=6)
     p.add_argument("--cs", default=None)
 
-    p = add("saturate", cmd_saturate,
-            "extend a base toward a prime set avoiding a goal")
+    p = add("saturate", "extend a base toward a prime set avoiding a goal")
     p.add_argument("universe", help="universe file with base: and goal:")
     p.add_argument("--goal", default=None,
                    help="override the goal from the file")
     p.add_argument("--depth", type=_int_in(0), default=4)
     p.add_argument("--cs", default=None)
 
-    p = add("canonical", cmd_canonical,
-            "build the bounded canonical model of a universe")
+    p = add("canonical", "build the bounded canonical model of a universe")
     p.add_argument("universe")
     p.add_argument("--out", default="-")
     p.add_argument("--depth", type=_int_in(0), default=4)
@@ -343,11 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a replaced cmd_* binding is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, sys.stdout)
+        return command(args, sys.stdout)
     except (ParseError, FileFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

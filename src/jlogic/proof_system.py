@@ -30,7 +30,7 @@ from jlogic.syntax import (
     Term,
     close_subformulas,
     formula_key,
-    is_atom_name,
+    identifier_kind,
     parse_formula,
     print_formula,
 )
@@ -351,7 +351,7 @@ def parse_cs(text: str) -> ConstantSpecification:
         if ":=" not in line:
             raise FileFormatError("expected '<constant> := ...'", lineno)
         name, rhs = (part.strip() for part in line.split(":=", 1))
-        if not re.fullmatch(r"[a-z][a-zA-Z0-9_]*", name) or is_atom_name(name):
+        if identifier_kind(name) != "NAME":
             raise FileFormatError(f"bad constant name {name!r}", lineno)
         raw.append((lineno, name, rhs))
 
@@ -568,7 +568,7 @@ def _parse_rule(rtext: str, lineno: int) -> Rule:
         m = re.fullmatch(r"(\d+)\s*,\s*(\d+)", arg)
         if m:
             return ModusPonens(int(m.group(1)) - 1, int(m.group(2)) - 1)
-    if kind == "cs" and re.fullmatch(r"[a-z][a-zA-Z0-9_]*", arg):
+    if kind == "cs" and identifier_kind(arg):
         return AxiomNecessitation(arg)
     raise FileFormatError(f"bad rule {rtext!r}", lineno)
 

@@ -13,6 +13,7 @@ identifier is a justification variable.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -440,32 +441,64 @@ class ParseError(Exception):
         self.pos = pos
 
 
-# One group per token kind, ASCII and Unicode spellings together; every
-# position matches one group after any white space, BAD when nothing else.
-_TOKEN_RE = re.compile(r"""\s*(?:
-      (?P<ARROW>->|→) | (?P<AND>/\\|∧) | (?P<OR>\\/|∨) | (?P<FALSUM>_\|_|⊥)
-    | (?P<DOT>[.·]) | (?P<BANG>!) | (?P<PLUS>\+) | (?P<COLON>:)
-    | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<IDENT>[a-z][a-zA-Z0-9_]*)
-    | (?P<EOF>\Z) | (?P<BAD>.)
-)""", re.VERBOSE | re.DOTALL)
+_IDENT = r"[a-z][a-zA-Z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
+# One capturing group: a symbol (ASCII or Unicode spelling), an
+# identifier, the end, or else one bad character.  Every position matches
+# after any white space, so findall gives the tokens back to back, the
+# end as "" (once more after trailing white space).
+_TOKEN_RE = re.compile(
+    r"\s*(->|→|/\\|∧|\\/|∨|_\|_|⊥|[.·!+:()]|" + _IDENT + r"|\Z|.)", re.DOTALL)
+
+# The kind of every fixed spelling and of the one-letter atoms; _word_kind
+# tells the other identifiers and the bad characters apart.
+_KINDS = {
+    "->": "ARROW", "→": "ARROW", "/\\": "AND", "∧": "AND",
+    "\\/": "OR", "∨": "OR", "_|_": "FALSUM", "⊥": "FALSUM",
+    ".": "DOT", "·": "DOT", "!": "BANG", "+": "PLUS", ":": "COLON",
+    "(": "LPAR", ")": "RPAR", "": "EOF", "p": "ATOM", "q": "ATOM", "r": "ATOM",
+}
+_ATOMIC = frozenset({"ATOM", "FALSUM"})  # the kinds only a formula starts with
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+def _word_kind(text: str) -> str:
+    """ATOM or NAME (a constant or variable) for an identifier the lexer
+    found, BAD for the one character it found where no token starts."""
+    if _IDENT_RE.match(text) is None:
+        return "BAD"
+    return "ATOM" if _ATOM_RE.match(text) else "NAME"
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    for m in _TOKEN_RE.finditer(src):  # back to back, as every position matches
-        kind = m.lastgroup
-        tok = _Tok(kind, m.group(kind), m.start(kind))
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
-        toks.append(tok)
-        if kind == "EOF":
-            return toks
+def _tokenize(src: str) -> tuple[list[str], list[str]]:
+    """The token texts of src and, in a parallel list, their kinds; the
+    last is EOF."""
+    texts = _TOKEN_RE.findall(src)
+    get = _KINDS.get
+    return texts, [get(t) or _word_kind(t) for t in texts]
+
+
+def identifier_kind(text: str) -> str | None:
+    """The kind, "ATOM" or "NAME", that the lexer gives text when it
+    reads it as one identifier; None when it does not."""
+    texts, kinds = _tokenize(text)
+    if texts[0] == text and kinds[0] in ("ATOM", "NAME"):
+        return kinds[0]
+    return None
+
+
+def _position(src: str, i: int) -> int:
+    """The character position of token i of src."""
+    return next(itertools.islice(_TOKEN_RE.finditer(src), i, None)).start(1)
+
+
+class _Fail(Exception):
+    """A parse failure at token index at; _parse turns it into a
+    ParseError at that token's character position."""
+
+    def __init__(self, message: str, at: int):
+        self.message = message
+        self.at = at
 
 
 # ---------------------------------------------------------------------------
@@ -475,36 +508,32 @@ def _tokenize(src: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, src: str, constants: frozenset[str]):
-        self.toks = _tokenize(src)
+        self.texts, self.kinds = _tokenize(src)
+        if "BAD" in self.kinds:
+            at = self.kinds.index("BAD")
+            raise _Fail(f"unexpected character {self.texts[at]!r}", at)
         self.i = 0
         self.constants = constants
-        self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, pos
+        self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, at
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
+    def close(self) -> None:
+        """Step over the ")" that must come next."""
+        if self.kinds[self.i] != "RPAR":
+            raise _Fail("expected ')'", self.i)
         self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self.next()
 
     def binary(self, ops: dict, operand, level: int = 0):
         """An operand, then each operator of ops whose precedence is at
         least level, with its right operand: the operators above its
         precedence, or from its precedence on if it groups to the right."""
         left = operand()
-        op = ops.get(self.peek().kind)
+        kinds = self.kinds
+        op = ops.get(kinds[self.i])
         while op is not None and op.prec >= level:
             self.i += 1
             right = self.binary(ops, operand, op.prec if op.right else op.prec + 1)
             left = op.node(left, right)
-            op = ops.get(self.peek().kind)
+            op = ops.get(kinds[self.i])
         return left
 
     def term(self) -> Term:
@@ -516,11 +545,11 @@ class _Parser:
         start = self.i
         failed = self.no_term.get(start)
         if failed is not None:
-            raise ParseError(*failed)
+            raise _Fail(*failed)
         try:
             return self.binary(_TERM_OPS, self.unary)
-        except ParseError as e:
-            self.no_term[start] = (e.message, e.pos)
+        except _Fail as e:
+            self.no_term[start] = (e.message, e.at)
             raise
 
     def formula(self) -> Formula:
@@ -529,76 +558,75 @@ class _Parser:
     # unary := "!" unary | name | "(" term ")"
 
     def unary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "BANG":
+            self.i = i + 1
             return Bang(self.unary())
-        if tok.kind == "LPAR":
-            self.next()
+        if kind == "LPAR":
+            self.i = i + 1
             t = self.term()
-            self.expect("RPAR", "')'")
+            self.close()
             return t
-        if tok.kind == "IDENT":
-            name = tok.text
-            if is_atom_name(name):
-                raise ParseError(f"atom {name!r} used as a term", tok.pos)
-            self.next()
+        if kind == "NAME":
+            self.i = i + 1
+            name = self.texts[i]
             if is_constant_name(name, self.constants):
                 return Constant(name)
             return Variable(name)
-        raise ParseError("expected term", tok.pos)
+        if kind == "ATOM":
+            raise _Fail(f"atom {self.texts[i]!r} used as a term", i)
+        raise _Fail("expected term", i)
 
     # just := term ":" just | atomic
 
     def just(self) -> Formula:
-        tok = self.peek()
-        if _is_atomic(tok) or (tok.kind == "LPAR" and _is_atomic(self.toks[self.i + 1])):
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] in _ATOMIC or (kinds[i] == "LPAR" and kinds[i + 1] in _ATOMIC):
             return self.atomic()
         # A leading "(" may open a term or a formula; unless an atom or
         # _|_, which no term contains, follows it, try the term route
         # first and fall back unless a ":" commits us to it.
-        mark = self.i
         try:
             t = self.term()
-            committed = self.peek().kind == "COLON"
-        except ParseError:
+            committed = kinds[self.i] == "COLON"
+        except _Fail:
             committed = False
         if committed:
-            self.next()
+            self.i += 1
             return Just(t, self.just())
-        self.i = mark
+        self.i = i
         return self.atomic()
 
     def atomic(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "FALSUM":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "FALSUM":
+            self.i = i + 1
             return FALSUM
-        if tok.kind == "LPAR":
-            self.next()
+        if kind == "LPAR":
+            self.i = i + 1
             a = self.formula()
-            self.expect("RPAR", "')'")
+            self.close()
             return a
-        if tok.kind == "IDENT" and is_atom_name(tok.text):
-            self.next()
-            return Atom(tok.text)
-        raise ParseError("expected formula", tok.pos)
-
-
-def _is_atomic(tok: _Tok) -> bool:
-    """Whether tok is an atom or _|_, which only a formula starts with."""
-    return tok.kind == "FALSUM" or (tok.kind == "IDENT" and is_atom_name(tok.text))
+        if kind == "ATOM":
+            self.i = i + 1
+            return Atom(self.texts[i])
+        raise _Fail("expected formula", i)
 
 
 def _parse(src: str, constants: frozenset[str], start, what: str):
-    p = _Parser(src, constants)
     try:
-        out = start(p)
-    except RecursionError:
-        raise ParseError(f"{what} nested too deeply", p.peek().pos) from None
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after {what}", tok.pos)
+        p = _Parser(src, constants)
+        try:
+            out = start(p)
+        except RecursionError:
+            raise _Fail(f"{what} nested too deeply", p.i) from None
+        if p.kinds[p.i] != "EOF":
+            raise _Fail(f"unexpected {p.texts[p.i]!r} after {what}", p.i)
+    except _Fail as e:
+        raise ParseError(e.message, _position(src, e.at)) from None
     return out
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import jlogic
+from jlogic import cli
 from jlogic.cli import main
 
 PROOF = """hypotheses:
@@ -95,6 +96,37 @@ def test_deep_nesting_exit_2(capsys, argv):
 def test_usage_error_exit_2(capsys):
     rc, _, _ = run(capsys, "no-such-command")
     assert rc == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run(capsys, "parse", "p")[:2] == (0, "p\n")
+    assert run(capsys, "parse", "--term", "x")[:2] == (0, "x\n")
+    assert len(built) <= 1
+
+
+def test_command_looked_up_at_call_time(capsys, monkeypatch, tmp_path):
+    # a cmd_* binding replaced after the parser exists is the one that runs
+    pf = tmp_path / "pf.txt"
+    pf.write_text(PROOF)
+    assert run(capsys, "check", str(pf)) == (0, "accepted\n", "")
+    seen = []
+
+    def replaced(args, stdout):
+        seen.append(args.proof)
+        stdout.write("replaced\n")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_check", replaced)
+    assert run(capsys, "check", str(pf)) == (0, "replaced\n", "")
+    assert seen == [str(pf)]
 
 
 def test_check_accepts(capsys, tmp_path):

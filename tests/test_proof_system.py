@@ -381,6 +381,32 @@ def test_proof_and_cs_file_bad_item(parse, text, line, message):
     assert (exc.value.line, str(exc.value)) == (line, message)
 
 
+# constant names are the lexer's identifiers that are not atoms
+@pytest.mark.parametrize("name,ok", [
+    ("kb", True), ("c1", True), ("k_B9", True), ("p", False), ("p12", False),
+    ("Kb", False), ("1c", False), ("k b", False), ("k.b", False), ("", False),
+])
+def test_cs_constant_names(name, ok):
+    text = f"{name} := ax J-T\n"
+    if ok:
+        assert parse_cs(text).constants() == frozenset({name})
+    else:
+        with pytest.raises(FileFormatError, match="bad constant name"):
+            parse_cs(text)
+
+
+@pytest.mark.parametrize("arg,ok", [
+    ("kb", True), ("p", True), ("Kb", False), ("k b", False),
+])
+def test_cs_rule_names(arg, ok):
+    text = f"proof:\n  1. p ; cs {arg}\n"
+    if ok:
+        assert parse_proof(text).steps[0].rule == AxiomNecessitation(arg)
+    else:
+        with pytest.raises(FileFormatError, match="bad rule"):
+            parse_proof(text)
+
+
 def test_with_hypotheses_remaps():
     widened = with_hypotheses(ACCEPT, (q, Just(x, p)))
     assert check_proof(widened, CS).ok

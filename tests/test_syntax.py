@@ -1,8 +1,10 @@
 """Parser, printer, and structural helpers."""
 
 import dataclasses
+import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,8 @@ from jlogic.syntax import (
     formula_key,
     formula_size,
     formula_terms,
+    identifier_kind,
+    is_atom_name,
     parse_formula,
     parse_term,
     print_formula,
@@ -276,13 +280,14 @@ def test_constant_requires_declaration():
 def test_atoms_parse_without_exceptions(monkeypatch):
     # an atom goes straight to the formula route; no term attempt fails
     made = []
-    init = ParseError.__init__
+    for failure in (ParseError, syntax._Fail):
+        init = failure.__init__
 
-    def counting_init(self, *args):
-        made.append(args)
-        init(self, *args)
+        def counting_init(self, *args, init=init):
+            made.append(args)
+            init(self, *args)
 
-    monkeypatch.setattr(ParseError, "__init__", counting_init)
+        monkeypatch.setattr(failure, "__init__", counting_init)
     src = " /\\ ".join(f"p{i} \\/ _|_" for i in range(200)) + " -> x:q"
     a = parse_formula(src)
     assert made == []
@@ -445,3 +450,108 @@ def test_pickle_across_hash_seeds():
         "print(a == b, hash(a) == hash(b), {a: 1}.get(b))\n"
     ), input=dumped)
     assert checked.stdout.split() == [b"True", b"True", b"1"]
+
+
+# --- the lexer ----------------------------------------------------------------
+
+
+identifiers = st.one_of(
+    st.from_regex(r"[a-z][a-zA-Z0-9_]*", fullmatch=True),
+    st.from_regex(r"[pqr][0-9_a-z]{0,3}", fullmatch=True),
+)
+
+
+@given(identifiers)
+def test_lexer_tells_atoms_from_names(name):
+    texts, kinds = syntax._tokenize(name)
+    assert texts[0] == name
+    assert kinds[0] == ("ATOM" if is_atom_name(name) else "NAME")
+    assert identifier_kind(name) == kinds[0]
+
+
+@pytest.mark.parametrize("text", ["", " x", "x ", "x y", "Kb", "1c", "x.y", "?", "_|_"])
+def test_identifier_kind_of_non_identifiers(text):
+    assert identifier_kind(text) is None
+
+
+# --- parse results, pinned -------------------------------------------------------
+#
+# A seeded corpus of source texts: random terms and formulas, with Unicode
+# spellings, extra white space and small mutations, and token soup.  Each
+# goes to both parsers, so many do not parse.  Nesting stays shallow: the
+# depth limit is not pinned here.
+
+LEAVES = {"term": ["x", "y", "c1", "kb"], "formula": ["p", "q", "r", "p7", "_|_"]}
+JOINS = {"term": [".", " + "], "formula": [" -> ", " /\\ ", " \\/ "]}
+PIECES = ["(", ")", "->", "→", "/\\", "∧", "\\/", "∨", "_|_", "⊥", ".", "·", "!",
+          "+", ":", "p", "q7", "x", "c1", "Q", "-", "/", "_", "|", "?", " ", "\t", "\n"]
+
+
+def random_source(rng, depth, sort):
+    """The text of a random term or formula (sort), parenthesized at random."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES[sort])
+    below = depth - 1
+    if rng.random() < 0.25:  # the two prefix forms: !t and t:A
+        if sort == "term":
+            text = "!" + random_source(rng, below, "term")
+        else:
+            text = (random_source(rng, below, "term") + ":"
+                    + random_source(rng, below, "formula"))
+    else:
+        text = (random_source(rng, below, sort) + rng.choice(JOINS[sort])
+                + random_source(rng, below, sort))
+    return f"({text})" if rng.random() < 0.4 else text
+
+
+def source_corpus(seed, n):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            out.append("".join(rng.choice(PIECES) for _ in range(rng.randint(0, 10))))
+            continue
+        src = random_source(rng, rng.randint(0, 5), rng.choice(["term", "formula"]))
+        if rng.random() < 0.3:
+            for ascii_form, unicode_form in UNICODE:
+                if rng.random() < 0.5:
+                    src = src.replace(ascii_form, unicode_form)
+        if rng.random() < 0.3:
+            src = "".join(c + rng.choice(["", " ", "\t", "\n  "]) for c in src)
+        if rng.random() < 0.4:
+            chars = list(src)
+            i = rng.randint(0, len(chars))
+            if rng.random() < 0.5 and chars:
+                del chars[min(i, len(chars) - 1)]
+            else:
+                chars.insert(i, rng.choice(PIECES))
+            src = "".join(chars)
+        out.append(src)
+    return out
+
+
+def parse_results(sources):
+    """One line per source, parser and constant set: the fully
+    parenthesized print and the root's class, or the ParseError message
+    and position."""
+    for src in sources:
+        for parse, show in ((parse_formula, print_formula), (parse_term, print_term)):
+            for constants in (frozenset(), frozenset({"kb"})):
+                try:
+                    node = parse(src, constants)
+                    result = show(node, full_parens=True) + " " + type(node).__name__
+                except ParseError as e:
+                    result = f"error {e.message!r} at {e.pos}"
+                yield f"{parse.__name__} {sorted(constants)} {src!r}: {result}\n"
+
+
+PARSE_RESULTS_SHA256 = (
+    "86dba9fc6bb87f9dc7b5c00038f47d33a9fb8d5215f2b134b3d2b893fd872104"
+)
+
+
+def test_parse_results_pinned():
+    digest = hashlib.sha256()
+    for line in parse_results(source_corpus(2016, 2000)):
+        digest.update(line.encode())
+    assert digest.hexdigest() == PARSE_RESULTS_SHA256
