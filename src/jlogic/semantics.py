@@ -16,6 +16,11 @@ satisfies, at every world w:
 together with upward monotonicity (M2): w <= v implies t*_w is a subset
 of t*_v.  A basic modular model is a basic evaluation that is factive:
 every formula in an evidence set is true at that world.
+
+Sets of worlds are masks throughout: bit i stands for the i-th world.
+The closure gives each t* as {A: mask}, the worlds where A is in t*, and
+a formula's truth set is a mask, so factivity is one test of masks per
+evidenced formula, and a t:B formula holds on the mask of B in t*.
 """
 
 from __future__ import annotations
@@ -135,15 +140,28 @@ class BasicEvaluation:
         self.term_universe: frozenset[Term] = close_subterms(ts)
         self.cs = cs if cs is not None else ConstantSpecification.default_schematic()
 
-        self._closure: dict[Term, dict[str, frozenset[Formula]]] | None = None
+        self._closure: dict[Term, dict[Formula, int]] | None = None
         self._truth = None  # a _ModelTruth, built on first use
 
-    def closure(self) -> dict[Term, dict[str, frozenset[Formula]]]:
+    def closure(self) -> dict[Term, dict[Formula, int]]:
+        """The derived evidence of every term of the universe as {A: mask},
+        the mask of the worlds w with A in t*_w (see _close); a formula in
+        no t*_w has no entry.  Built on first use."""
         if self._closure is None:
+            position = {v: i for i, v in enumerate(self.worlds)}
+            # seeing[j]: the worlds u with (u, the j-th world) in the order
+            seeing = [0] * len(self.worlds)
+            for u, v in self.order:
+                seeing[position[v]] |= 1 << position[u]
+            base: dict[Term, dict[Formula, int]] = {}
+            for w, per_term in self.base_evidence.items():
+                for t, formulas in per_term.items():
+                    seeds = base.setdefault(t, {})
+                    for a in formulas:
+                        seeds[a] = seeds.get(a, 0) | 1 << position[w]
             self._closure = _close(
-                self.worlds,
-                self.order,
-                self.base_evidence,
+                _Below(seeing),
+                base,
                 sorted(self.term_universe, key=term_size),
                 self.formula_universe,
                 self.cs,
@@ -151,10 +169,13 @@ class BasicEvaluation:
         return self._closure
 
     def evidence(self, t: Term, w: str) -> frozenset[Formula]:
-        """Derived evidence set t*_w."""
+        """Derived evidence set t*_w, read off the masks of closure()."""
         if t not in self.term_universe:
             raise UniverseNotClosed(f"term {t} is outside the term universe")
-        return self.closure()[t][w]
+        if w not in self.atoms:
+            raise ValueError(f"unknown world {w!r}")
+        bit = 1 << self.worlds.index(w)
+        return frozenset(a for a, mask in self.closure()[t].items() if mask & bit)
 
     def _fields(self):
         return (
@@ -169,49 +190,6 @@ class BasicEvaluation:
 
     def __eq__(self, other):
         return isinstance(other, BasicEvaluation) and self._fields() == other._fields()
-
-
-def _close(worlds, order, base_evidence, terms, formula_universe, cs):
-    """Least evidence family over the base satisfying (1)-(4) and (M2).
-
-    terms is the term universe with every subterm before its superterms
-    (sorted by size, say).  One pass over it: a term's provisional set at
-    each world is its base plus the exact condition images from its
-    subterms' final sets; its final set at w is the union of provisional
-    sets at w and all worlds below w.  Subterm finals are complete when a
-    composite is processed, so (1)-(4) hold at every world for any order,
-    and the union makes the family upward-monotone (M2) whenever the order
-    is transitive.  So validate_model checks neither: it checks only that
-    the order is a partial order.  Both universes must be closed under
-    subterms and subformulas; both callers close them.
-    """
-    below = {w: tuple(u for u in worlds if (u, w) in order) for w in worlds}
-    derived: dict[Term, dict[str, frozenset[Formula]]] = {}
-    for t in terms:
-        if isinstance(t, Constant):
-            covered = [a for a in formula_universe if cs.covers(t.name, a)]
-        provisional: dict[str, set[Formula]] = {}
-        for w in worlds:
-            s = set(base_evidence.get(w, {}).get(t, ()))
-            if isinstance(t, Constant):
-                s.update(covered)
-            elif isinstance(t, App):
-                left = derived[t.left][w]
-                right = derived[t.right][w]
-                for f in left:
-                    if isinstance(f, Implies) and f.left in right:
-                        s.add(f.right)
-            elif isinstance(t, Sum):
-                s |= derived[t.left][w]
-                s |= derived[t.right][w]
-            elif isinstance(t, Bang):
-                s |= {Just(t.inner, b) for b in derived[t.inner][w]}
-            provisional[w] = s
-        derived[t] = {
-            w: frozenset(provisional[w].union(*(provisional[u] for u in below[w])))
-            for w in worlds
-        }
-    return derived
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +281,68 @@ class _Below(dict):
         return out
 
 
-def _just_mask(derived, worlds, t: Term, body: Formula) -> int:
+def _close(upclose, base, terms, formula_universe, cs):
+    """Least evidence family over the base satisfying (1)-(4) and (M2),
+    as {t: {A: mask}}: bit i of the mask is set when A is in t* at the
+    i-th world, and a formula in t* at no world has no entry.
+
+    upclose is the _Below table of the transposed order, so upclose[P]
+    is the mask of the worlds w with (u, w) in the order for some u in
+    P.  base maps a term to {A: mask} of its seeds, each mask non-zero,
+    and terms is the term universe with every subterm before its
+    superterms (sorted by size, say).  One pass over terms: a term's
+    provisional mask P of a formula is its base mask or'ed with the
+    exact condition images from its subterms' final masks.  Application
+    intersects the masks of B -> A and B (an A with several such B's gets
+    the union), sum ors the masks of its operands, !s carries the mask of
+    each B in s* over to s:B, and a constant gets every world for each
+    formula of the universe that cs covers.  The final mask is
+    P | upclose[P].
+
+    That is exact on any order, reflexive or not, transitive or not: the
+    final set at a world w is the union of the provisional sets at w and
+    at every world u with (u, w) in the order, and A is in that union
+    exactly when w is in P or in upclose[P].  Subterm finals are complete
+    when a composite is processed, so (1)-(4) hold at every world, and
+    the union makes the family upward-monotone (M2) whenever the order is
+    transitive.  So validate_model checks neither: it checks only that
+    the order is a partial order.  Both universes must be closed under
+    subterms and subformulas; both callers close them.
+    """
+    full = (1 << len(upclose.up)) - 1
+    derived: dict[Term, dict[Formula, int]] = {}
+    for t in terms:
+        provisional = dict(base.get(t, ()))
+        kind = type(t)
+        if kind is Constant:
+            for a in formula_universe:
+                if cs.covers(t.name, a):
+                    provisional[a] = full
+        elif kind is App:
+            right = derived[t.right]
+            for f, mask in derived[t.left].items():
+                if type(f) is Implies:
+                    both = mask & right.get(f.left, 0)
+                    if both:
+                        provisional[f.right] = provisional.get(f.right, 0) | both
+        elif kind is Sum:
+            for side in (derived[t.left], derived[t.right]):
+                for a, mask in side.items():
+                    provisional[a] = provisional.get(a, 0) | mask
+        elif kind is Bang:
+            for b, mask in derived[t.inner].items():
+                f = Just(t.inner, b)
+                provisional[f] = provisional.get(f, 0) | mask
+        derived[t] = {a: mask | upclose[mask] for a, mask in provisional.items()}
+    return derived
+
+
+def _just_mask(derived, t: Term, body: Formula) -> int:
     """The mask of t:body: the worlds w where body is in t*_w."""
-    per_world = derived.get(t)
-    if per_world is None:
+    per_term = derived.get(t)
+    if per_term is None:
         raise UniverseNotClosed(f"term {t} is outside the term universe")
-    return sum(1 << i for i, w in enumerate(worlds) if body in per_world[w])
+    return per_term.get(body, 0)
 
 
 class _ModelTruth:
@@ -346,7 +380,7 @@ class _ModelTruth:
                 _compile((a,), rows, index)
                 values += [0] * (len(rows) - start)
                 _run(rows[start:], values, self.atoms, self.full, self.below,
-                     lambda t, body: _just_mask(m.closure(), m.worlds, t, body))
+                     lambda t, body: _just_mask(m.closure(), t, body))
             except BaseException:
                 # drop the rows that have not run, whose masks are unset
                 del rows[start:], values[start:]
@@ -355,6 +389,14 @@ class _ModelTruth:
                 raise
             row = index[a]
         return self.values[row]
+
+
+def _truth_mask(m: BasicEvaluation, a: Formula) -> int:
+    """The mask of a in m, read from the _ModelTruth kept on m, which is
+    built on first use."""
+    if m._truth is None:
+        m._truth = _ModelTruth(m)
+    return m._truth.mask(a, m)
 
 
 def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
@@ -369,9 +411,7 @@ def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
     universe, and TypeError for what is not a formula."""
     if w not in m.atoms:
         raise ValueError(f"unknown world {w!r}")
-    if m._truth is None:
-        m._truth = _ModelTruth(m)
-    return bool(m._truth.mask(a, m) >> m.worlds.index(w) & 1)
+    return bool(_truth_mask(m, a) >> m.worlds.index(w) & 1)
 
 
 def check_validity(m: BasicEvaluation, a: Formula) -> bool:
@@ -406,7 +446,13 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     (M2) and closure conditions (1)-(4) hold by construction of the
     closure on a transitive order (see _close), and a non-transitive one
     is reported as such.  Collects every violation rather than stopping
-    at the first."""
+    at the first.
+
+    Factivity is one test per evidenced formula A of a term t: the
+    worlds of A's mask in t* where A is false.  Only the failures are
+    sorted, by world position, term_key and formula_key, which is the
+    order of a walk over the worlds, then the sorted terms, then the
+    sorted false formulas."""
     out: list[Violation] = []
     rel = m.order
     for w in m.worlds:
@@ -426,15 +472,16 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
             if p not in m.atoms[v]:
                 out.append(Violation("M1", (w, v), f"atom {p} lost going up"))
 
-    derived = m.closure()
-    terms = sorted(m.term_universe, key=term_key)
-    for w in m.worlds:
-        for t in terms:
-            false = [a for a in derived[t][w] if not evaluate_truth(m, w, a)]
-            for a in sorted(false, key=formula_key):
-                out.append(Violation("factivity", (w,),
-                                     f"{print_formula(a)} in {print_term(t)}* "
-                                     f"but false"))
+    failures = []  # (world position, printed term, printed formula)
+    for t, per_term in m.closure().items():
+        for a, mask in per_term.items():
+            false = mask & ~_truth_mask(m, a)
+            while false:
+                low = false & -false
+                failures.append((low.bit_length() - 1, term_key(t), formula_key(a)))
+                false ^= low
+    for i, t, a in sorted(failures):
+        out.append(Violation("factivity", (m.worlds[i],), f"{a} in {t}* but false"))
     return CheckVerdict(not out, tuple(out))
 
 
@@ -527,6 +574,17 @@ def find_countermodel(
     ones.  The rows below no t:B run once per valuation, and only the
     rows above some t:B once per candidate.
 
+    The closure (see _close) starts from base masks that are the upsets
+    themselves: the up-closure of an upset's minimal worlds is the
+    upset, so this is the closure of the seeds at the minimal worlds,
+    and the model returned gets its base as seeds at those worlds.  The
+    closure's upclose table is built once per poset, from the masks that
+    below_of is built from.  A seed assignment whose t:B masks and needs
+    equal an earlier one's is skipped: its candidates are judged as the
+    earlier one's, which have already been tried at the current
+    valuation and will be tried before it at every later one, so
+    skipping it never changes which countermodel is first.
+
     The order laws, M1, M2 and conditions (1)-(4) hold by construction
     (canonical posets, upset valuations, _close).  An evidenced formula
     that is not a subformula of a is an s:B that condition (4) made at
@@ -578,47 +636,51 @@ def find_countermodel(
         names = tuple(f"w{i}" for i in range(n))
         full = (1 << n) - 1
         for up, upsets, minima, costs in _canonical_posets(n):
-            order = frozenset((names[i], names[j])
-                              for i in range(n) for j in range(n) if up[i] >> j & 1)
             below_of = [0]  # grown one world j at a time: masks below 2 ** (j + 1)
+            seeing = []  # seeing[j]: the mask of the worlds that see world j
             for j in range(n):
                 seeing_j = 0
                 for i in range(n):
                     if up[i] >> j & 1:
                         seeing_j |= 1 << i
                 below_of += [b | seeing_j for b in below_of]
+                seeing.append(seeing_j)
+            upclose = _Below(seeing)
             closures = []
+            judged = set()
 
             def seeded():
-                """For each seed assignment: the base, and the t:B masks and
-                factivity needs (row, mask) of its closure, built on the
-                first valuation pass and kept in closures for the later
-                ones."""
+                """For each seed assignment: the assignment, and the t:B
+                masks and factivity needs (row, mask) of its closure, built
+                on the first valuation pass and kept in closures for the
+                later ones."""
                 for combo in _seed_assignments(costs, len(pool), evidence_budget):
-                    base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
+                    base: dict[Term, dict[Formula, int]] = {}
                     for (t, b), s in zip(pool, combo):
-                        for i in minima[s]:
-                            base[names[i]].setdefault(t, set()).add(b)
-                    derived = _close(names, order, base, t_order, f_universe, cs)
+                        if upsets[s]:
+                            base.setdefault(t, {})[b] = upsets[s]
+                    derived = _close(upclose, base, t_order, f_universe, cs)
                     # factivity: each formula must hold wherever it is evidenced
                     evidenced: dict[Formula, int] = {}
-                    for per_world in derived.values():
-                        for i, w in enumerate(names):
-                            for f in per_world[w]:
-                                evidenced[f] = evidenced.get(f, 0) | 1 << i
+                    for per_term in derived.values():
+                        for f, mask in per_term.items():
+                            evidenced[f] = evidenced.get(f, 0) | mask
                     needs = [(index[f], need) for f, need in evidenced.items()
                              if f in index]
-                    masks = [(i, _just_mask(derived, names, t, b))
-                             for i, _, t, b in just_rows]
-                    closures.append((base, masks, needs))
-                    yield base, masks, needs
+                    masks = [(i, _just_mask(derived, t, b)) for i, _, t, b in just_rows]
+                    key = (tuple(masks), frozenset(needs))
+                    if key in judged:
+                        continue
+                    judged.add(key)
+                    closures.append((combo, masks, needs))
+                    yield combo, masks, needs
 
             values = [0] * len(rows)
             valuations = itertools.product(upsets, repeat=len(atom_names))
             for k, valuation in enumerate(valuations):
                 atoms = dict(zip(atom_names, valuation))
                 _run(free, values, atoms, full, below_of, None)
-                for base, masks, needs in closures if k else seeded():
+                for combo, masks, needs in closures if k else seeded():
                     if masks:
                         for i, mask in masks:
                             values[i] = mask
@@ -626,9 +688,14 @@ def find_countermodel(
                     refuted = full & ~values[goal]
                     if not refuted or any(need & ~values[row] for row, need in needs):
                         continue
+                    base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
+                    for (t, b), s in zip(pool, combo):
+                        for i in minima[s]:
+                            base[names[i]].setdefault(t, set()).add(b)
                     m = BasicEvaluation(
                         names,
-                        order,
+                        frozenset((names[i], names[j]) for i in range(n)
+                                  for j in range(n) if up[i] >> j & 1),
                         {
                             names[i]: frozenset(
                                 p for p, s in atoms.items() if s >> i & 1

@@ -23,12 +23,16 @@ from jlogic.semantics import (
 )
 from jlogic.syntax import (
     And,
+    App,
     Atom,
+    Bang,
+    Constant,
     Falsum,
     Implies,
     Just,
     Or,
     ParseError,
+    Sum,
     close_subterms,
     formula_key,
     parse_formula,
@@ -283,7 +287,43 @@ def test_countermodel_stdout_pinned(capsys, src, expected):
     assert capsys.readouterr().out == expected
 
 
-# --- the compiled evaluator against a reference ------------------------------
+# --- the compiled evaluator and the mask closure against references ----------
+
+
+def reference_close(worlds, order, base_evidence, terms, formula_universe, cs):
+    """The evidence closure one world at a time, as {t: {w: frozenset}}:
+    the closure that the one over masks of worlds replaced.  A term's
+    provisional set at each world is its base plus the condition images
+    from its subterms' final sets, and its final set at w is the union of
+    the provisional sets at w and at every world u with (u, w) in order.
+    terms lists every subterm before its superterms."""
+    below = {w: tuple(u for u in worlds if (u, w) in order) for w in worlds}
+    derived = {}
+    for t in terms:
+        if isinstance(t, Constant):
+            covered = [a for a in formula_universe if cs.covers(t.name, a)]
+        provisional = {}
+        for w in worlds:
+            s = set(base_evidence.get(w, {}).get(t, ()))
+            if isinstance(t, Constant):
+                s.update(covered)
+            elif isinstance(t, App):
+                left = derived[t.left][w]
+                right = derived[t.right][w]
+                for f in left:
+                    if isinstance(f, Implies) and f.left in right:
+                        s.add(f.right)
+            elif isinstance(t, Sum):
+                s |= derived[t.left][w]
+                s |= derived[t.right][w]
+            elif isinstance(t, Bang):
+                s |= {Just(t.inner, b) for b in derived[t.inner][w]}
+            provisional[w] = s
+        derived[t] = {
+            w: frozenset(provisional[w].union(*(provisional[u] for u in below[w])))
+            for w in worlds
+        }
+    return derived
 
 
 def reference_evaluator(worlds, up, atoms, derived):
@@ -348,7 +388,7 @@ def reference_search(a, max_worlds, evidence_budget, cs=CS):
                 for (t, b), s in zip(pool, combo):
                     for i in minima[s]:
                         base[names[i]].setdefault(t, set()).add(b)
-                derived = semantics._close(names, order, base, t_order, f_universe, cs)
+                derived = reference_close(names, order, base, t_order, f_universe, cs)
                 evidenced = {}
                 for per_world in derived.values():
                     for i, w in enumerate(names):

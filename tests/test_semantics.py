@@ -31,9 +31,15 @@ from jlogic.syntax import (
     Or,
     Sum,
     Variable,
+    formula_key,
     parse_formula,
     parse_term,
+    print_formula,
+    print_term,
+    term_key,
+    term_size,
 )
+from test_countermodel import reference_close
 
 CS = ConstantSpecification.default_schematic()
 p, q = Atom("p"), Atom("q")
@@ -222,10 +228,98 @@ def test_closure_idempotent():
             assert again.evidence(term, w) == fam[term][w]
 
 
+def reference_validation_text(m):
+    """str(validate_model(m)) as the per-world closure gives it: the
+    order laws and M1, then factivity by a walk over the worlds, the
+    terms in term_key order and the false formulas in formula_key
+    order."""
+    out = []
+    rel = m.order
+    for w in m.worlds:
+        if (w, w) not in rel:
+            out.append(f"order-reflexivity at {w}: {w} <= {w} missing")
+    pairs = sorted(rel)
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            if b == c and (a, d) not in rel:
+                out.append(f"order-transitivity at {a},{b},{d}: "
+                           f"{a} <= {b} <= {d} but not {a} <= {d}")
+        if a != b and (b, a) in rel and a < b:
+            out.append(f"order-antisymmetry at {a},{b}: {a} <= {b} and {b} <= {a}")
+    for (w, v) in pairs:
+        for name in sorted(m.atoms[w]):
+            if name not in m.atoms[v]:
+                out.append(f"M1 at {w},{v}: atom {name} lost going up")
+    derived = reference_close(m.worlds, m.order, m.base_evidence,
+                              sorted(m.term_universe, key=term_size),
+                              m.formula_universe, m.cs)
+    for w in m.worlds:
+        for term in sorted(m.term_universe, key=term_key):
+            false = [a for a in derived[term][w] if not evaluate_truth(m, w, a)]
+            for a in sorted(false, key=formula_key):
+                out.append(f"factivity at {w}: {print_formula(a)} in "
+                           f"{print_term(term)}* but false")
+    return "invalid:\n" + "\n".join(f"  {v}" for v in out) if out else "valid"
+
+
+def _invalid_models():
+    """Hand-built models that break what find_countermodel never does:
+    orders that are not transitive or not reflexive, seeds above minimal
+    worlds, and evidence that is false where it is evidenced.  World
+    names run against their positions, so that a sort by name would show
+    in the violation order."""
+    c1 = Constant("c1")
+    terms = {App(x, y), Sum(x, y), Bang(x), Bang(App(x, y)), c1, App(c1, x)}
+    formulas = [parse_formula(f, constants=CS.constants())
+                for f in ["p -> q -> p", "x:p -> p", "c1.x:(q -> p)"]]
+    kw = dict(term_universe=terms, formula_universe=formulas, cs=CS)
+    seeds = {"b": {x: {Implies(p, q), q}, y: {p}}, "a": {y: {q}, x: {p}}}
+
+    def model(worlds, order, atoms, evidence):
+        return BasicEvaluation(worlds, order, atoms, base_evidence=evidence, **kw)
+
+    return {
+        # a chain b <= a <= c without b <= c
+        "not-transitive": model(("b", "a", "c"),
+                                [(w, w) for w in "bac"] + [("b", "a"), ("a", "c")],
+                                {"a": {"p"}, "c": {"p", "q"}}, seeds),
+        # b <= a and nothing else: no world is below itself
+        "not-reflexive": model(("b", "a"), [("b", "a")], {"a": {"p"}}, seeds),
+        # a partial order with seeds at every world, not only minimal ones
+        "seeds-above-minima": model(
+            ("b", "a", "c"),
+            transitive_reflexive_closure("bac", [("b", "a"), ("b", "c")]),
+            {"b": {"q"}, "a": {"p", "q"}, "c": {"q"}},
+            {**seeds, "c": {y: {p, q}}}),
+        # one world where p and q are false
+        "false-evidence": model(("a",), [("a", "a")], {}, {"a": seeds["b"]}),
+    }
+
+
+@pytest.mark.parametrize("case", [*_invalid_models(), *range(8)],
+                         ids=lambda c: f"seed{c}" if isinstance(c, int) else c)
+def test_mask_closure_matches_per_world(case):
+    if isinstance(case, str):
+        m = _invalid_models()[case]
+    else:
+        m = _closure_test_model(case)
+    derived = reference_close(m.worlds, m.order, m.base_evidence,
+                              sorted(m.term_universe, key=term_size),
+                              m.formula_universe, m.cs)
+    for term in m.term_universe:
+        for w in m.worlds:
+            assert m.evidence(term, w) == derived[term][w], (term, w)
+    text = str(validate_model(m))
+    assert text == reference_validation_text(m)
+    assert (text == "valid") == isinstance(case, int)
+
+
 def test_universe_not_closed():
     m = lem_model()
     with pytest.raises(UniverseNotClosed):
         m.evidence(x, "w0")
+    with pytest.raises(ValueError, match="unknown world 'w9'"):
+        lem_model(term_universe={x}).evidence(x, "w9")
     with pytest.raises(ValueError):
         evaluate_truth(m, "nowhere", p)
     with pytest.raises(UniverseNotClosed):
