@@ -54,6 +54,10 @@ from jlogic.syntax import (
 )
 
 
+class UsageError(Exception):
+    """A command line argument that names what its input lacks."""
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -157,6 +161,8 @@ def cmd_model_eval(args, stdout) -> int:
     cs = _load_cs(args.cs)
     m = parse_model(_read(args.model), cs)
     a = parse_formula(args.formula, constants=cs.constants())
+    if args.world not in m.worlds:
+        raise UsageError(f"unknown world {args.world!r}")
     value = evaluate_truth(m, args.world, a)
     _emit(args, stdout, "true" if value else "false",
           {"world": args.world, "formula": print_formula(a), "value": value})
@@ -351,7 +357,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args, sys.stdout)
-    except (ParseError, FileFormatError) as e:
+    except (ParseError, FileFormatError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

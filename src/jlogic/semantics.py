@@ -21,6 +21,12 @@ Sets of worlds are masks throughout: bit i stands for the i-th world.
 The closure gives each t* as {A: mask}, the worlds where A is in t*, and
 a formula's truth set is a mask, so factivity is one test of masks per
 evidenced formula, and a t:B formula holds on the mask of B in t*.
+
+A model has one frame, built by its constructor: the world positions,
+the order as _Below tables both ways (below for implications, upclose
+for the closure), the mask of every world and the atoms' masks.  The
+closure, the truth masks and validation all read it.  Countermodel
+search gets the same tables once per canonical poset instead.
 """
 
 from __future__ import annotations
@@ -105,25 +111,37 @@ class BasicEvaluation:
         self.worlds: tuple[str, ...] = tuple(worlds)
         if not self.worlds:
             raise ValueError("a model needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
+        self._position = {w: i for i, w in enumerate(self.worlds)}
+        if len(self._position) != len(self.worlds):
             raise ValueError("duplicate world names")
-        known = set(self.worlds)
         self.order: frozenset[tuple[str, str]] = frozenset(
             (str(a), str(b)) for a, b in order
         )
+        up = [0] * len(self.worlds)  # up[i]: the worlds that world i sees
+        seeing = [0] * len(self.worlds)  # seeing[j]: the worlds that see world j
         for a, b in self.order:
-            if a not in known or b not in known:
+            i, j = self._position.get(a), self._position.get(b)
+            if i is None or j is None:
                 raise ValueError(f"order pair ({a}, {b}) uses an unknown world")
+            up[i] |= 1 << j
+            seeing[j] |= 1 << i
+        self._below = _Below(up)
+        self._upclose = _Below(seeing)
+        self._full = (1 << len(self.worlds)) - 1
         self.atoms: dict[str, frozenset[str]] = {
             w: frozenset(atoms.get(w, ())) for w in self.worlds
         }
+        self._atom_masks: dict[str, int] = {}
         for w in atoms or {}:
-            if w not in known:
+            i = self._position.get(w)
+            if i is None:
                 raise ValueError(f"atom valuation uses an unknown world {w}")
+            for p in self.atoms[w]:
+                self._atom_masks[p] = self._atom_masks.get(p, 0) | 1 << i
 
         base: dict[str, dict[Term, frozenset[Formula]]] = {w: {} for w in self.worlds}
         for w, per_term in (base_evidence or {}).items():
-            if w not in known:
+            if w not in self._position:
                 raise ValueError(f"evidence uses an unknown world {w}")
             for t, formulas in per_term.items():
                 base[w][t] = frozenset(formulas)
@@ -141,26 +159,26 @@ class BasicEvaluation:
         self.cs = cs if cs is not None else ConstantSpecification.default_schematic()
 
         self._closure: dict[Term, dict[Formula, int]] | None = None
-        self._truth = None  # a _ModelTruth, built on first use
+        # the compiled truth rows (see _compile), grown on demand by _mask,
+        # and the masks of the rows that have run
+        self._rows: list = []
+        self._index: dict[Formula, int] = {}
+        self._values: list[int] = []
 
     def closure(self) -> dict[Term, dict[Formula, int]]:
         """The derived evidence of every term of the universe as {A: mask},
         the mask of the worlds w with A in t*_w (see _close); a formula in
         no t*_w has no entry.  Built on first use."""
         if self._closure is None:
-            position = {v: i for i, v in enumerate(self.worlds)}
-            # seeing[j]: the worlds u with (u, the j-th world) in the order
-            seeing = [0] * len(self.worlds)
-            for u, v in self.order:
-                seeing[position[v]] |= 1 << position[u]
             base: dict[Term, dict[Formula, int]] = {}
             for w, per_term in self.base_evidence.items():
+                bit = 1 << self._position[w]
                 for t, formulas in per_term.items():
                     seeds = base.setdefault(t, {})
                     for a in formulas:
-                        seeds[a] = seeds.get(a, 0) | 1 << position[w]
+                        seeds[a] = seeds.get(a, 0) | bit
             self._closure = _close(
-                _Below(seeing),
+                self._upclose,
                 base,
                 sorted(self.term_universe, key=term_size),
                 self.formula_universe,
@@ -172,10 +190,38 @@ class BasicEvaluation:
         """Derived evidence set t*_w, read off the masks of closure()."""
         if t not in self.term_universe:
             raise UniverseNotClosed(f"term {t} is outside the term universe")
-        if w not in self.atoms:
-            raise ValueError(f"unknown world {w!r}")
-        bit = 1 << self.worlds.index(w)
+        bit = 1 << self._world(w)
         return frozenset(a for a, mask in self.closure()[t].items() if mask & bit)
+
+    def _world(self, w: str) -> int:
+        """The position of world w; ValueError if the model has no w."""
+        i = self._position.get(w)
+        if i is None:
+            raise ValueError(f"unknown world {w!r}")
+        return i
+
+    def _mask(self, a: Formula) -> int:
+        """The mask of the worlds where a holds, read from the compiled
+        rows.  A formula not met before appends its rows and those of its
+        subformulas not met before, and a query first runs the rows that
+        have not run; a query that fails drops them again."""
+        row = self._index.get(a)
+        if row is None or row >= len(self._values):
+            rows, index, values = self._rows, self._index, self._values
+            start = len(values)
+            try:
+                _compile((a,), rows, index)
+                values += [0] * (len(rows) - start)
+                _run(rows[start:], values, self._atom_masks, self._full, self._below,
+                     lambda t, body: _just_mask(self.closure(), t, body))
+            except BaseException:
+                # drop the rows that have not run, whose masks are unset
+                del rows[start:], values[start:]
+                for f in [f for f, i in index.items() if i >= start]:
+                    del index[f]
+                raise
+            row = index[a]
+        return self._values[row]
 
     def _fields(self):
         return (
@@ -345,78 +391,24 @@ def _just_mask(derived, t: Term, body: Formula) -> int:
     return per_term.get(body, 0)
 
 
-class _ModelTruth:
-    """The truth sets of one model over compiled rows that grow on
-    demand: a formula not met before appends its rows and those of its
-    subformulas not met before.  values holds the masks of the rows that
-    have run, and a query first runs the rows after them.  rows and
-    index, when given, are a compile of formulas of m (find_countermodel
-    hands over the goal's subformulas); they run on the first query."""
-
-    def __init__(self, m: BasicEvaluation, rows=None, index=None):
-        position = {v: i for i, v in enumerate(m.worlds)}
-        up = [0] * len(m.worlds)
-        for u, v in m.order:
-            up[position[u]] |= 1 << position[v]
-        self.atoms: dict[str, int] = {}
-        for i, v in enumerate(m.worlds):
-            for p in m.atoms[v]:
-                self.atoms[p] = self.atoms.get(p, 0) | 1 << i
-        self.full = (1 << len(m.worlds)) - 1
-        self.below = _Below(up)
-        self.rows: list = [] if rows is None else rows
-        self.index: dict[Formula, int] = {} if index is None else index
-        self.values: list[int] = []
-
-    def mask(self, a: Formula, m: BasicEvaluation) -> int:
-        """The mask of a in m, the model this was built for.  m is passed
-        in, not kept: m keeps this object, and a reference back would
-        make a cycle that only the cyclic garbage collector frees."""
-        row = self.index.get(a)
-        if row is None or row >= len(self.values):
-            rows, index, values = self.rows, self.index, self.values
-            start = len(values)
-            try:
-                _compile((a,), rows, index)
-                values += [0] * (len(rows) - start)
-                _run(rows[start:], values, self.atoms, self.full, self.below,
-                     lambda t, body: _just_mask(m.closure(), t, body))
-            except BaseException:
-                # drop the rows that have not run, whose masks are unset
-                del rows[start:], values[start:]
-                for f in [f for f, i in index.items() if i >= start]:
-                    del index[f]
-                raise
-            row = index[a]
-        return self.values[row]
-
-
-def _truth_mask(m: BasicEvaluation, a: Formula) -> int:
-    """The mask of a in m, read from the _ModelTruth kept on m, which is
-    built on first use."""
-    if m._truth is None:
-        m._truth = _ModelTruth(m)
-    return m._truth.mask(a, m)
-
-
 def evaluate_truth(m: BasicEvaluation, w: str, a: Formula) -> bool:
     """Truth at a world: falsum is false, atoms by valuation, conjunction
     and disjunction pointwise, implication over all worlds above w, and
     t:A by membership of A in the derived evidence t*_w.
 
-    Reads the mask of a from the compiled rows kept on m.  The first
-    query of a formula compiles it, with every subformula that no earlier
-    query reached, and evaluates just those rows, without recursion.
-    Raises UniverseNotClosed for a t:B whose t is outside the term
-    universe, and TypeError for what is not a formula."""
-    if w not in m.atoms:
-        raise ValueError(f"unknown world {w!r}")
-    return bool(_truth_mask(m, a) >> m.worlds.index(w) & 1)
+    Reads the mask of a from the compiled rows kept on m, which run over
+    m's frame.  The first query of a formula compiles it, with every
+    subformula that no earlier query reached, and evaluates just those
+    rows, without recursion.  Raises ValueError for a world m lacks,
+    UniverseNotClosed for a t:B whose t is outside the term universe, and
+    TypeError for what is not a formula."""
+    i = m._world(w)
+    return bool(m._mask(a) >> i & 1)
 
 
 def check_validity(m: BasicEvaluation, a: Formula) -> bool:
     """True iff a holds at every world (assumes validate_model passed)."""
-    return all(evaluate_truth(m, w, a) for w in m.worlds)
+    return m._mask(a) == m._full
 
 
 @dataclass(frozen=True)
@@ -475,7 +467,7 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     failures = []  # (world position, printed term, printed formula)
     for t, per_term in m.closure().items():
         for a, mask in per_term.items():
-            false = mask & ~_truth_mask(m, a)
+            false = mask & ~m._mask(a)
             while false:
                 low = false & -false
                 failures.append((low.bit_length() - 1, term_key(t), formula_key(a)))
@@ -501,9 +493,13 @@ _POSET_CACHE: dict[int, list[tuple]] = {}
 def _canonical_posets(n: int) -> list[tuple]:
     """All partial orders on n worlds up to isomorphism, each in its
     canonical labelling, sorted by canonical code, as entries (up, upsets,
-    minima, costs).  up[i] is the mask of world i and the worlds above it;
-    upsets are the up-closed masks in increasing order, minima their
-    minimal worlds, and costs how many minimal worlds each has.
+    minima, costs, below, upclose).  up[i] is the mask of world i and the
+    worlds above it; upsets are the up-closed masks in increasing order,
+    minima their minimal worlds, and costs how many minimal worlds each
+    has.  below is a list: below[mask] is the mask of the worlds that see
+    some world in mask, for implications (see _run); upclose is the
+    _Below table of the transposed order, for the closure (see _close).
+    The tables are built once per process, with the posets.
 
     Built from world n-1 down, up[i] is 1 << i or'ed with the up[j] of
     some worlds j > i: such an order is transitive and antisymmetric by
@@ -529,11 +525,15 @@ def _canonical_posets(n: int) -> list[tuple]:
         up = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
         upsets = tuple(s for s in range(1 << n)
                        if all(up[i] & ~s == 0 for i in range(n) if s >> i & 1))
-        below = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+        # seeing[i]: the mask of the worlds that see world i
+        seeing = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
         minima = tuple(
-            tuple(i for i in range(n) if s & below[i] == 1 << i) for s in upsets
+            tuple(i for i in range(n) if s & seeing[i] == 1 << i) for s in upsets
         )
-        out.append((up, upsets, minima, tuple(map(len, minima))))
+        below = [0]  # grown one world i at a time: the masks below 2 ** (i + 1)
+        for seeing_i in seeing:
+            below += [b | seeing_i for b in below]
+        out.append((up, upsets, minima, tuple(map(len, minima)), below, _Below(seeing)))
     _POSET_CACHE[n] = out
     return out
 
@@ -565,25 +565,24 @@ def find_countermodel(
     upset, with the total seed count capped by evidence_budget.
 
     Candidates are judged on the goal's subformulas, compiled once per
-    search into rows (see _compile) and run over masks of worlds, with a
-    table below_of[mask] per poset for implications.  What a row's mask
-    depends on decides when it runs.  The t:B masks and the factivity
-    needs (where each evidenced subformula must hold) depend only on the
-    closure of the seed assignment: they are computed when the first
-    valuation of a poset meets the assignment and reused by the later
-    ones.  The rows below no t:B run once per valuation, and only the
-    rows above some t:B once per candidate.
+    search into rows (see _compile) and run over masks of worlds, with
+    the poset's below table for implications (see _canonical_posets).
+    What a row's mask depends on decides when it runs.  The t:B masks
+    and the factivity needs (where each evidenced subformula must hold)
+    depend only on the closure of the seed assignment: they are computed
+    when the first valuation of a poset meets the assignment and reused
+    by the later ones.  The rows below no t:B run once per valuation, and
+    only the rows above some t:B once per candidate.
 
     The closure (see _close) starts from base masks that are the upsets
     themselves: the up-closure of an upset's minimal worlds is the
     upset, so this is the closure of the seeds at the minimal worlds,
     and the model returned gets its base as seeds at those worlds.  The
-    closure's upclose table is built once per poset, from the masks that
-    below_of is built from.  A seed assignment whose t:B masks and needs
-    equal an earlier one's is skipped: its candidates are judged as the
-    earlier one's, which have already been tried at the current
-    valuation and will be tried before it at every later one, so
-    skipping it never changes which countermodel is first.
+    closure's upclose table comes with the poset too.  A seed assignment
+    whose t:B masks and needs equal an earlier one's is skipped: its
+    candidates are judged as the earlier one's, which have already been
+    tried at the current valuation and will be tried before it at every
+    later one, so skipping it never changes which countermodel is first.
 
     The order laws, M1, M2 and conditions (1)-(4) hold by construction
     (canonical posets, upset valuations, _close).  An evidenced formula
@@ -635,17 +634,7 @@ def find_countermodel(
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
         full = (1 << n) - 1
-        for up, upsets, minima, costs in _canonical_posets(n):
-            below_of = [0]  # grown one world j at a time: masks below 2 ** (j + 1)
-            seeing = []  # seeing[j]: the mask of the worlds that see world j
-            for j in range(n):
-                seeing_j = 0
-                for i in range(n):
-                    if up[i] >> j & 1:
-                        seeing_j |= 1 << i
-                below_of += [b | seeing_j for b in below_of]
-                seeing.append(seeing_j)
-            upclose = _Below(seeing)
+        for up, upsets, minima, costs, below, upclose in _canonical_posets(n):
             closures = []
             judged = set()
 
@@ -679,12 +668,12 @@ def find_countermodel(
             valuations = itertools.product(upsets, repeat=len(atom_names))
             for k, valuation in enumerate(valuations):
                 atoms = dict(zip(atom_names, valuation))
-                _run(free, values, atoms, full, below_of, None)
+                _run(free, values, atoms, full, below, None)
                 for combo, masks, needs in closures if k else seeded():
                     if masks:
                         for i, mask in masks:
                             values[i] = mask
-                        _run(above_just, values, atoms, full, below_of, None)
+                        _run(above_just, values, atoms, full, below, None)
                     refuted = full & ~values[goal]
                     if not refuted or any(need & ~values[row] for row, need in needs):
                         continue
@@ -707,7 +696,7 @@ def find_countermodel(
                         formula_universe=f_universe,
                         cs=cs,
                     )
-                    m._truth = _ModelTruth(m, rows, index)
+                    m._rows, m._index = rows, index  # run on the first query
                     verdict = validate_model(m)
                     if not verdict.ok:
                         raise AssertionError(
@@ -805,6 +794,9 @@ def parse_model(
             worlds = tuple(line.split())
             if not worlds:
                 raise FileFormatError("empty worlds list", lineno)
+            if len(set(worlds)) != len(worlds):
+                repeated = next(w for i, w in enumerate(worlds) if w in worlds[:i])
+                raise FileFormatError(f"duplicate world {repeated!r}", lineno)
             continue
         if worlds is None:
             raise FileFormatError("worlds: must come first", lineno)

@@ -200,6 +200,20 @@ def test_model_eval_falsum_is_exit_1(capsys, tmp_path):
     assert out == "false\n"
 
 
+def test_duplicate_world_file_exit_2(capsys, tmp_path):
+    model_file = tmp_path / "m.txt"
+    model_file.write_text("worlds: w0 w0\n")
+    rc, out, err = run(capsys, "model-validate", str(model_file))
+    assert (rc, out, err) == (2, "", "error: line 1: duplicate world 'w0'\n")
+
+
+def test_model_eval_unknown_world_exit_2(capsys, tmp_path):
+    model_file = tmp_path / "m.txt"
+    model_file.write_text("worlds: w0\n")
+    rc, out, err = run(capsys, "model-eval", str(model_file), "nowhere", "p")
+    assert (rc, out, err) == (2, "", "error: unknown world 'nowhere'\n")
+
+
 def test_countermodel_none_found(capsys):
     rc, out, _ = run(capsys, "countermodel", "x:p -> p")
     assert rc == 1

@@ -229,7 +229,7 @@ def test_poset_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_upsets_and_minima_match_definitions(n):
-    for up, upsets, minima, costs in semantics._canonical_posets(n):
+    for up, upsets, minima, costs, below, upclose in semantics._canonical_posets(n):
         rel = relation(n, up)
         closed = [
             s for s in range(1 << n)
@@ -243,6 +243,13 @@ def test_upsets_and_minima_match_definitions(n):
                 if not any((j, i) in rel for j in members if j != i)
             ]
             assert cost == len(low)
+        for mask in range(1 << n):
+            members = [j for j in range(n) if mask >> j & 1]
+            seeing = sum(1 << i for i in range(n)
+                         if any((i, j) in rel for j in members))
+            seen = sum(1 << i for i in range(n)
+                       if any((j, i) in rel for j in members))
+            assert (below[mask], upclose[mask]) == (seeing, seen), mask
 
 
 @pytest.mark.parametrize("costs", [(0,), (0, 1), (0, 1, 2, 1), (1, 2, 1, 0, 3)])
@@ -379,7 +386,7 @@ def reference_search(a, max_worlds, evidence_budget, cs=CS):
     t_order = sorted(t_universe, key=term_size)
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        for up, upsets, minima, costs in semantics._canonical_posets(n):
+        for up, upsets, minima, costs, _, _ in semantics._canonical_posets(n):
             order = frozenset((names[i], names[j])
                               for i in range(n) for j in range(n) if up[i] >> j & 1)
             closures = []

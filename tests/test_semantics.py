@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jlogic.generators import random_valid_model
+from jlogic.generators import random_formula, random_valid_model
 from jlogic.proof_system import ConstantSpecification
 from jlogic.semantics import (
     BasicEvaluation,
@@ -36,6 +36,7 @@ from jlogic.syntax import (
     parse_term,
     print_formula,
     print_term,
+    subformulas,
     term_key,
     term_size,
 )
@@ -453,14 +454,23 @@ def test_model_file_round_trip():
 
 
 def test_model_file_round_trip_countermodels():
-    # the last one has _|_ in an evidence line
-    for src in ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p", "x:(p -> _|_) -> p"]:
-        found = find_countermodel(parse_formula(src), 2)
-        assert found is not None
+    # the third one has _|_ in an evidence line; the seeded random goals
+    # after them all have a countermodel at two worlds too
+    goals = [parse_formula(src) for src in
+             ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p", "x:(p -> _|_) -> p"]]
+    rng = random.Random(13)
+    goals += [random_formula(rng, 3) for _ in range(12)]
+    for goal in goals:
+        found = find_countermodel(goal, 2)
+        assert found is not None, print_formula(goal)
         back = parse_model(print_model(found.model))
         assert back == found.model
         assert validate_model(back).ok
-        assert not evaluate_truth(back, found.world, parse_formula(src))
+        assert not evaluate_truth(back, found.world, goal)
+        # the search hands its compiled rows to the model it returns
+        for a in sorted(subformulas(goal), key=formula_key):
+            for w in back.worlds:
+                assert evaluate_truth(found.model, w, a) == evaluate_truth(back, w, a)
 
 
 def test_model_file_errors():
@@ -471,6 +481,9 @@ def test_model_file_errors():
         parse_model("")
     with pytest.raises(FileFormatError):
         parse_model("worlds: w0\norder:\n  w0 <= w9\n")
+    with pytest.raises(FileFormatError) as exc:
+        parse_model("# w0 twice\nworlds: w0 w1 w0\n")
+    assert (exc.value.line, str(exc.value)) == (2, "line 2: duplicate world 'w0'")
 
 
 @pytest.mark.parametrize("text,line,message", [
