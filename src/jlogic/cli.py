@@ -202,7 +202,7 @@ def cmd_saturate(args, stdout) -> int:
     if args.goal is not None:
         goal = parse_formula(args.goal, constants=cs.constants())
     if goal is None:
-        raise FileFormatError("no goal: neither in the file nor via --goal", 0)
+        raise UsageError("no goal: neither in the file nor via --goal")
     th = prime_saturate(spec.base, goal, spec.universe, cs, args.depth)
     verdict = check_prime(th, cs)
     members = sorted(map(print_formula, th.members))
@@ -357,10 +357,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args, sys.stdout)
-    except (ParseError, FileFormatError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, FileFormatError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (HypothesisNotFound, NotAppropriate, UniverseNotClosed,

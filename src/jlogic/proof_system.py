@@ -28,6 +28,7 @@ from jlogic.syntax import (
     ParseError,
     Sum,
     Term,
+    _leaf,
     close_subformulas,
     formula_key,
     identifier_kind,
@@ -92,24 +93,14 @@ def _parse_list(lineno: int, parse, text: str, constants) -> list:
 # constructors of its antecedent and consequent.
 
 
-@dataclass(frozen=True, eq=False)
+@_leaf
 class _MetaF(Formula):
     name: str
 
-    def __init__(self, name: str):
-        d = self.__dict__
-        d["name"] = name
-        d["_hash"] = hash(("_MetaF", name))
 
-
-@dataclass(frozen=True, eq=False)
+@_leaf
 class _MetaT(Term):
     name: str
-
-    def __init__(self, name: str):
-        d = self.__dict__
-        d["name"] = name
-        d["_hash"] = hash(("_MetaT", name))
 
 
 _A, _B, _C = _MetaF("A"), _MetaF("B"), _MetaF("C")
@@ -806,8 +797,7 @@ class _Searcher:
         if proof is not None:
             self.proofs[key] = proof
             return proof
-        if self.failed.get(key, -1) < k:
-            self.failed[key] = k
+        self.failed[key] = k
         return None
 
     def _base_case(self, hyps: frozenset, goal: Formula) -> Proof | None:

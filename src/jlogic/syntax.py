@@ -15,23 +15,29 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
 # AST
 #
-# Nodes are frozen dataclasses with structural equality.  Each constructor
-# stores the node's hash, computed from its children's stored hashes, so
-# hashing costs O(1) and never recurses.  ``==`` is the hash-first,
-# stack-driven ``_equal`` below, defined on ``Term`` and ``Formula``; the
-# named leaves compare their names directly.  Node classes are declared
-# with ``eq=False`` so that ``dataclass`` gives them neither a recursive
-# ``__eq__`` nor a recursive field hash.
-# ``__reduce__`` rebuilds a node through its constructor, so an unpickled
-# node hashes under the loading process's hash seed.  ``_key`` holds the
-# printed form once ``formula_key``/``term_key`` has asked for it.
+# Every node is a frozen dataclass under ``_Node``, which holds the node
+# protocol once: ``==`` is the hash-first, stack-driven ``_equal`` below,
+# ``hash`` returns the hash the constructor stored, and ``__reduce__``
+# rebuilds a node through its constructor, so an unpickled node hashes
+# under the loading process's hash seed.  ``_key`` holds the printed form
+# once ``formula_key``/``term_key`` has asked for it.
+#
+# A node's hash is computed from its class name and its name or its
+# children's stored hashes, so hashing costs O(1) and never recurses.
+# Two class decorators each install one straight-line constructor for a
+# shape that several classes share, with the hash tag taken from the class
+# name when the class is made: ``_leaf`` (one ``name``; ``==`` compares
+# names) and ``_binary`` (``left`` and ``right``).  ``Bang``, ``Just`` and
+# ``Falsum`` are each the only node of their shape and keep their own.
+# Node classes are declared with ``eq=False`` so that ``dataclass`` gives
+# them neither a recursive ``__eq__`` nor a recursive field hash.
 
 _node = dataclass(frozen=True, eq=False)
 
@@ -45,7 +51,7 @@ def _equal(a, b) -> bool:
     if a is b:
         return True
     if type(b) is not type(a):
-        return False if isinstance(b, (Term, Formula)) else NotImplemented
+        return False if isinstance(b, _Node) else NotImplemented
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -71,14 +77,13 @@ def _equal(a, b) -> bool:
 
 
 def _equal_names(a, b) -> bool:
-    """``==`` for atoms, constants and variables: same type, same name."""
+    """``==`` for leaves: same type, same name."""
     if type(b) is type(a):
         return a.name == b.name
-    return False if isinstance(b, (Term, Formula)) else NotImplemented
+    return False if isinstance(b, _Node) else NotImplemented
 
 
-@_node
-class Term:
+class _Node:
     _key = None
 
     __eq__ = _equal
@@ -87,60 +92,64 @@ class Term:
         return self._hash
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(map(self.__dict__.get, self.__match_args__))
 
+
+def _leaf(cls):
+    """A node class with one field, ``name``, hashed as (class name, name)
+    and compared by name."""
+    tag = cls.__name__
+
+    def __init__(self, name: str):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash((tag, name))
+
+    cls.__init__ = __init__
+    cls.__eq__ = _equal_names
+    return _node(cls)
+
+
+def _binary(cls):
+    """A node class with two children, ``left`` and ``right``, hashed as
+    (class name, left hash, right hash)."""
+    tag = cls.__name__
+
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash((tag, left._hash, right._hash))
+
+    cls.__init__ = __init__
+    return _node(cls)
+
+
+class Term(_Node):
     def __str__(self) -> str:
         return print_term(self)
 
 
-@_node
+@_leaf
 class Constant(Term):
     name: str
 
-    __eq__ = _equal_names
-    __hash__ = Term.__hash__  # defining __eq__ would otherwise unset it
 
-    def __init__(self, name: str):
-        d = self.__dict__
-        d["name"] = name
-        d["_hash"] = hash(("Constant", name))
-
-
-@_node
+@_leaf
 class Variable(Term):
     name: str
 
-    __eq__ = _equal_names
-    __hash__ = Term.__hash__  # defining __eq__ would otherwise unset it
 
-    def __init__(self, name: str):
-        d = self.__dict__
-        d["name"] = name
-        d["_hash"] = hash(("Variable", name))
-
-
-@_node
+@_binary
 class App(Term):
     left: Term
     right: Term
 
-    def __init__(self, left: Term, right: Term):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash(("App", left._hash, right._hash))
 
-
-@_node
+@_binary
 class Sum(Term):
     left: Term
     right: Term
-
-    def __init__(self, left: Term, right: Term):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash(("Sum", left._hash, right._hash))
 
 
 @_node
@@ -153,33 +162,14 @@ class Bang(Term):
         d["_hash"] = hash(("Bang", inner._hash))
 
 
-@_node
-class Formula:
-    _key = None
-
-    __eq__ = _equal
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
+class Formula(_Node):
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_node
+@_leaf
 class Atom(Formula):
     name: str
-
-    __eq__ = _equal_names
-    __hash__ = Formula.__hash__  # defining __eq__ would otherwise unset it
-
-    def __init__(self, name: str):
-        d = self.__dict__
-        d["name"] = name
-        d["_hash"] = hash(("Atom", name))
 
 
 @_node
@@ -189,40 +179,22 @@ class Falsum(Formula):
         self.__dict__["_hash"] = hash("Falsum")
 
 
-@_node
+@_binary
 class And(Formula):
     left: Formula
     right: Formula
 
-    def __init__(self, left: Formula, right: Formula):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash(("And", left._hash, right._hash))
 
-
-@_node
+@_binary
 class Or(Formula):
     left: Formula
     right: Formula
 
-    def __init__(self, left: Formula, right: Formula):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash(("Or", left._hash, right._hash))
 
-
-@_node
+@_binary
 class Implies(Formula):
     left: Formula
     right: Formula
-
-    def __init__(self, left: Formula, right: Formula):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash(("Implies", left._hash, right._hash))
 
 
 @_node
@@ -238,7 +210,7 @@ class Just(Formula):
 
 
 FALSUM = Falsum()
-_NAMED = (Atom, Constant, Variable)  # the leaves that _equal_names compares
+_NAMED = (Atom, Constant, Variable)  # leaves whose names _equal compares
 
 _ATOM_RE = re.compile(r"^(p|q|r|p[0-9]+)$")
 _CONSTANT_RE = re.compile(r"^c[0-9]+$")

@@ -1,6 +1,6 @@
 """The benchmark runs end to end: one short round set per workload, every
-operation correct.  `check`, the slowest workload, is left out to keep
-the suite fast."""
+operation correct.  `check` is the one workload that drives the parser
+and the node constructors through `cli.main`."""
 
 import json
 import subprocess
@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["countermodel", "saturate"])
+@pytest.mark.parametrize("workload", ["check", "countermodel", "saturate"])
 def test_benchmark_runs_correct(workload):
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -258,6 +258,7 @@ def test_saturate_no_goal_is_usage_error(capsys):
     rc, _, err = run(capsys, "saturate", universe("canon-atom.txt"))
     assert rc == 2
     assert "goal" in err
+    assert "line 0" not in err
 
 
 def test_canonical_writes_valid_model(capsys, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jlogic
-from jlogic import syntax
+from jlogic import proof_system, syntax
 from jlogic.syntax import (
     And,
     App,
@@ -421,6 +421,43 @@ def test_nodes_stay_frozen():
         x.name = "y"
     assert a == Implies(p, q)
     assert repr(a) == "Implies(left=Atom(name='p'), right=Atom(name='q'))"
+
+
+@pytest.mark.parametrize("cls, fields, expected_repr", [
+    (Constant, {"name": "c1"}, "Constant(name='c1')"),
+    (Variable, {"name": "x"}, "Variable(name='x')"),
+    (Atom, {"name": "p"}, "Atom(name='p')"),
+    (proof_system._MetaF, {"name": "A"}, "_MetaF(name='A')"),
+    (proof_system._MetaT, {"name": "t"}, "_MetaT(name='t')"),
+    (App, {"left": x, "right": y},
+     "App(left=Variable(name='x'), right=Variable(name='y'))"),
+    (Sum, {"left": x, "right": y},
+     "Sum(left=Variable(name='x'), right=Variable(name='y'))"),
+    (Bang, {"inner": x}, "Bang(inner=Variable(name='x'))"),
+    (And, {"left": p, "right": q},
+     "And(left=Atom(name='p'), right=Atom(name='q'))"),
+    (Or, {"left": p, "right": q},
+     "Or(left=Atom(name='p'), right=Atom(name='q'))"),
+    (Implies, {"left": p, "right": q},
+     "Implies(left=Atom(name='p'), right=Atom(name='q'))"),
+    (Just, {"term": x, "body": p},
+     "Just(term=Variable(name='x'), body=Atom(name='p'))"),
+    (Falsum, {}, "Falsum()"),
+])
+def test_node_hash_rule(cls, fields, expected_repr):
+    # a leaf hashes as (class name, name), a composite as (class name,
+    # child hashes...), falsum as its class name; keyword construction is
+    # what rebuilds a node with one child replaced
+    node = cls(**fields)
+    if not fields:
+        expected = hash(cls.__name__)
+    elif "name" in fields:
+        expected = hash((cls.__name__, fields["name"]))
+    else:
+        expected = hash((cls.__name__, *map(hash, fields.values())))
+    assert hash(node) == expected
+    assert node == cls(*fields.values())
+    assert repr(node) == expected_repr
 
 
 def python_with_hash_seed(seed, code, **kwargs):
