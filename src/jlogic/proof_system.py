@@ -28,6 +28,7 @@ from jlogic.syntax import (
     ParseError,
     Sum,
     Term,
+    _Table,
     _leaf,
     close_subformulas,
     formula_key,
@@ -67,18 +68,19 @@ def _file_lines(text: str):
             yield lineno, line
 
 
-def _parse_at(lineno: int, parse, text: str, constants, prefix: str = ""):
-    """parse(text, constants), a ParseError becoming a FileFormatError at
-    the line, its message after prefix."""
+def _parse_at(lineno: int, parse, text: str, table: _Table, prefix: str = ""):
+    """parse(text) with the constants and parse table of the file being
+    read, a ParseError becoming a FileFormatError at the line, its message
+    after prefix."""
     try:
-        return parse(text, constants)
+        return parse(text, table.constants, _table=table)
     except ParseError as e:
         raise FileFormatError(prefix + str(e), lineno) from e
 
 
-def _parse_list(lineno: int, parse, text: str, constants) -> list:
+def _parse_list(lineno: int, parse, text: str, table: _Table) -> list:
     """The comma-separated items of text, each parsed as by _parse_at."""
-    return [_parse_at(lineno, parse, item.strip(), constants)
+    return [_parse_at(lineno, parse, item.strip(), table)
             for item in text.split(",") if item.strip()]
 
 
@@ -347,6 +349,7 @@ def parse_cs(text: str) -> ConstantSpecification:
         raw.append((lineno, name, rhs))
 
     declared = frozenset(name for _, name, _ in raw)
+    table = _Table(declared)
     schematic: list[tuple[str, str]] = []
     explicit: list[tuple[str, Formula]] = []
     for lineno, name, rhs in raw:
@@ -356,7 +359,7 @@ def parse_cs(text: str) -> ConstantSpecification:
                 raise FileFormatError(f"unknown schema tag {tag!r}", lineno)
             schematic.append((name, tag))
         else:
-            a = _parse_at(lineno, parse_formula, rhs, declared, "bad formula: ")
+            a = _parse_at(lineno, parse_formula, rhs, table, "bad formula: ")
             if not match_axiom(a):
                 raise FileFormatError(
                     f"{print_formula(a)!r} is not an axiom instance", lineno
@@ -502,6 +505,7 @@ def print_proof(pi: Proof) -> str:
 
 
 _STEP_RE = re.compile(r"^(\d+)\.\s*(.*)$")
+_MP_RE = re.compile(r"(\d+)\s*,\s*(\d+)")
 
 
 def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
@@ -512,6 +516,7 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
     hyps: list[Formula] = []
     steps: list[ProofStep] = []
     section = None
+    table = _Table(constants)
     for lineno, line in _file_lines(text):
         if line == "hypotheses:":
             section = "hypotheses"
@@ -530,7 +535,7 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
             if num != len(hyps) + 1:
                 raise FileFormatError(f"expected hypothesis {len(hyps) + 1}", lineno)
             hyps.append(
-                _parse_at(lineno, parse_formula, rest, constants, "bad formula: ")
+                _parse_at(lineno, parse_formula, rest, table, "bad formula: ")
             )
             continue
         if num != len(steps) + 1:
@@ -538,7 +543,7 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
         if ";" not in rest:
             raise FileFormatError("expected '<formula> ; <rule>'", lineno)
         ftext, rtext = (part.strip() for part in rest.rsplit(";", 1))
-        conclusion = _parse_at(lineno, parse_formula, ftext, constants, "bad formula: ")
+        conclusion = _parse_at(lineno, parse_formula, ftext, table, "bad formula: ")
         steps.append(ProofStep(conclusion, _parse_rule(rtext, lineno)))
     if section is None:
         raise FileFormatError("empty proof file", 1)
@@ -551,12 +556,12 @@ def _parse_rule(rtext: str, lineno: int) -> Rule:
     parts = rtext.split(None, 1)
     kind = parts[0] if parts else ""
     arg = parts[1].strip() if len(parts) > 1 else ""
-    if kind == "hyp" and arg.isdigit():
+    if kind == "hyp" and arg.isdecimal():
         return Hypothesis(int(arg) - 1)
     if kind == "ax" and arg in AXIOM_SCHEMAS:
         return AxiomRule(arg)
     if kind == "mp":
-        m = re.fullmatch(r"(\d+)\s*,\s*(\d+)", arg)
+        m = _MP_RE.fullmatch(arg)
         if m:
             return ModusPonens(int(m.group(1)) - 1, int(m.group(2)) - 1)
     if kind == "cs" and identifier_kind(arg):

@@ -43,6 +43,7 @@ from jlogic.syntax import (
     Or,
     Sum,
     Term,
+    _Table,
     close_subformulas,
     formula_key,
     parse_formula,
@@ -474,7 +475,7 @@ def parse_universe(
     formulas), optional `base:`, and optional `goal:` (one formula).  The
     universe is closed under subformulas and extended with the base and
     goal formulas."""
-    declared = (
+    table = _Table(
         cs.constants() if cs is not None
         else ConstantSpecification.default_schematic().constants()
     )
@@ -491,7 +492,7 @@ def parse_universe(
                 continue
         elif section is None:
             raise FileFormatError("expected 'universe:', 'base:', or 'goal:'", lineno)
-        formulas = _parse_list(lineno, parse_formula, line, declared)
+        formulas = _parse_list(lineno, parse_formula, line, table)
         if section == "universe":
             seeds += formulas
         elif section == "base":

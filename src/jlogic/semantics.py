@@ -56,6 +56,7 @@ from jlogic.syntax import (
     Sum,
     App,
     Term,
+    _Table,
     close_subformulas,
     close_subterms,
     formula_key,
@@ -773,7 +774,7 @@ def parse_model(
     terms: list[Term] = []
     formulas: list[Formula] = []
     the_cs = cs if cs is not None else ConstantSpecification.default_schematic()
-    declared = the_cs.constants()
+    table = _Table(the_cs.constants())
     section = None
     for lineno, line in _file_lines(text):
         head, sep, rest = line.partition(":")
@@ -822,13 +823,13 @@ def parse_model(
             w, ttext, ftext = parts
             if w not in worlds:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
-            t = _parse_at(lineno, parse_term, ttext, declared)
-            fs = _parse_list(lineno, parse_formula, ftext, declared)
+            t = _parse_at(lineno, parse_term, ttext, table)
+            fs = _parse_list(lineno, parse_formula, ftext, table)
             evidence.setdefault(w, {}).setdefault(t, set()).update(fs)
         elif section == "terms":
-            terms += _parse_list(lineno, parse_term, line, declared)
+            terms += _parse_list(lineno, parse_term, line, table)
         elif section == "formulas":
-            formulas += _parse_list(lineno, parse_formula, line, declared)
+            formulas += _parse_list(lineno, parse_formula, line, table)
     if worlds is None:
         raise FileFormatError("missing worlds section", 1)
     order = transitive_reflexive_closure(worlds, pairs)

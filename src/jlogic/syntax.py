@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -442,12 +443,24 @@ def _word_kind(text: str) -> str:
     return "ATOM" if _ATOM_RE.match(text) else "NAME"
 
 
-def _tokenize(src: str) -> tuple[list[str], list[str]]:
+def _tokenize(src: str, known: _Kinds | None = None) -> tuple[list[str], list[str]]:
     """The token texts of src and, in a parallel list, their kinds; the
-    last is EOF."""
+    last is EOF.  known, a file reader's _Kinds, looks each text up
+    once per file."""
     texts = _TOKEN_RE.findall(src)
+    if known is not None:
+        return texts, list(map(known.__getitem__, texts))
     get = _KINDS.get
     return texts, [get(t) or _word_kind(t) for t in texts]
+
+
+class _Kinds(dict):
+    """_KINDS, and the kind of each other text as _word_kind finds it
+    the first time."""
+
+    def __missing__(self, text: str) -> str:
+        kind = self[text] = _word_kind(text)
+        return kind
 
 
 def identifier_kind(text: str) -> str | None:
@@ -474,19 +487,90 @@ class _Fail(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Parse tables
+#
+# A file reader parses many lines that repeat each other's subformulas
+# (deduce, internalize, J-4 and mp steps rewrite earlier conclusions inside
+# new ones), so it gives the parser one _Table for the whole call.  The
+# table maps a token text, the texts joined by spaces, to the node parsed
+# from it: the text of every whole line, of every parenthesized group
+# without its parentheses, and of every name and atom.  A group or line
+# met again comes back as the same node, and the parser jumps past it.
+# The separator keeps "(a b)" from meeting "(ab)".  A text that parses as
+# a term contains no atom and no _|_, so it never parses as a formula: one
+# table serves both sorts, and a hit counts only when its node has the
+# sort wanted there.  What a text parses to depends on its tokens and the
+# constants alone, and a table keeps one set of constants.
+#
+# A hit skips the recursion the group would have cost, so a line long
+# enough to reach the recursion limit is parsed without the table, and
+# its nesting limit stays that of the line parsed alone.  The parser goes
+# at most _FRAMES_PER_TOKEN frames deeper per token (a "(" that opens a
+# formula costs atomic, formula, binary and just); _FRAMES_SPARE covers
+# the frames from the reader down to the parser's first token.  unary and
+# atomic handle their groups inline, so a table adds no frame per level.
+
+_FRAMES_PER_TOKEN = 4
+_FRAMES_SPARE = 32
+_DEPTH = {"LPAR": 1, "RPAR": -1}  # how each kind moves the parenthesis depth
+
+
+class _Table(dict):
+    """The nodes that one file reader's lines have parsed to, by token
+    text, for the constants the reader declares.  kinds are the kinds of
+    the texts the reader has met, and room is how many more frames the
+    reader's stack may take."""
+
+    __slots__ = ("constants", "kinds", "room")
+
+    def __init__(self, constants: frozenset[str]):
+        self.constants = constants
+        self.kinds = _Kinds(_KINDS)
+        depth = 0
+        frame = sys._getframe(1)
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        self.room = sys.getrecursionlimit() - depth - _FRAMES_SPARE
+
+
+# ---------------------------------------------------------------------------
 # Parser (precedence climbing over _OPERATORS; backtracking only at the
 # term-vs-formula fork)
 
 
 class _Parser:
-    def __init__(self, src: str, constants: frozenset[str]):
-        self.texts, self.kinds = _tokenize(src)
-        if "BAD" in self.kinds:
-            at = self.kinds.index("BAD")
-            raise _Fail(f"unexpected character {self.texts[at]!r}", at)
+    def __init__(self, texts: list[str], kinds: list[str],
+                 constants: frozenset[str], table: _Table | None):
+        if "BAD" in kinds:
+            at = kinds.index("BAD")
+            raise _Fail(f"unexpected character {texts[at]!r}", at)
+        self.texts, self.kinds = texts, kinds
         self.i = 0
         self.constants = constants
         self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, at
+        self.table = table
+        self.depths: list[int] | None = None  # parenthesis depth after each token
+
+    def lookup(self, i: int, sort: type) -> tuple[str | None, _Node | None]:
+        """The table key of the group that opens at token i (None when the
+        group is not closed), and the node of sort that the table holds
+        for it, with the parser moved past the group's ")" (None when it
+        holds none)."""
+        depths = self.depths
+        if depths is None:
+            depths = self.depths = list(itertools.accumulate(
+                map(_DEPTH.get, self.kinds, itertools.repeat(0))))
+        try:
+            end = depths.index(depths[i] - 1, i)
+        except ValueError:
+            return None, None
+        key = " ".join(self.texts[i + 1:end])
+        node = self.table.get(key)
+        if isinstance(node, sort):
+            self.i = end + 1
+            return key, node
+        return key, None
 
     def close(self) -> None:
         """Step over the ")" that must come next."""
@@ -536,16 +620,30 @@ class _Parser:
             self.i = i + 1
             return Bang(self.unary())
         if kind == "LPAR":
+            key = None
+            if self.table is not None:
+                key, t = self.lookup(i, Term)
+                if t is not None:
+                    return t
             self.i = i + 1
             t = self.term()
             self.close()
+            if key is not None:
+                self.table[key] = t
             return t
         if kind == "NAME":
             self.i = i + 1
             name = self.texts[i]
-            if is_constant_name(name, self.constants):
-                return Constant(name)
-            return Variable(name)
+            table = self.table
+            if table is None:
+                if is_constant_name(name, self.constants):
+                    return Constant(name)
+                return Variable(name)
+            t = table.get(name)
+            if t is None:
+                leaf = Constant if is_constant_name(name, self.constants) else Variable
+                t = table[name] = leaf(name)
+            return t
         if kind == "ATOM":
             raise _Fail(f"atom {self.texts[i]!r} used as a term", i)
         raise _Fail("expected term", i)
@@ -559,7 +657,12 @@ class _Parser:
             return self.atomic()
         # A leading "(" may open a term or a formula; unless an atom or
         # _|_, which no term contains, follows it, try the term route
-        # first and fall back unless a ":" commits us to it.
+        # first and fall back unless a ":" commits us to it.  A group the
+        # table holds as a formula is no term.
+        if kinds[i] == "LPAR" and self.table is not None:
+            a = self.lookup(i, Formula)[1]
+            if a is not None:
+                return a
         try:
             t = self.term()
             committed = kinds[self.i] == "COLON"
@@ -578,37 +681,72 @@ class _Parser:
             self.i = i + 1
             return FALSUM
         if kind == "LPAR":
+            key = None
+            if self.table is not None:
+                key, a = self.lookup(i, Formula)
+                if a is not None:
+                    return a
             self.i = i + 1
             a = self.formula()
             self.close()
+            if key is not None:
+                self.table[key] = a
             return a
         if kind == "ATOM":
             self.i = i + 1
-            return Atom(self.texts[i])
+            name = self.texts[i]
+            table = self.table
+            if table is None:
+                return Atom(name)
+            a = table.get(name)
+            if a is None:
+                a = table[name] = Atom(name)
+            return a
         raise _Fail("expected formula", i)
 
 
-def _parse(src: str, constants: frozenset[str], start, what: str):
+def _parse(src: str, constants: frozenset[str], sort: type, table: _Table | None):
+    """A node of sort (Term or Formula) parsed from the whole of src.  With
+    a table, a line whose text the table holds comes back as that node,
+    and a line that may get near the recursion limit is parsed without
+    the table."""
     try:
-        p = _Parser(src, constants)
+        if table is None:
+            texts, kinds = _tokenize(src)
+        else:
+            texts, kinds = _tokenize(src, table.kinds)
+            if _FRAMES_PER_TOKEN * len(texts) < table.room:
+                key = " ".join(texts[:-1])
+                out = table.get(key)
+                if isinstance(out, sort):
+                    return out
+            else:
+                table = None
+        p = _Parser(texts, kinds, constants, table)
         try:
-            out = start(p)
+            out = p.formula() if sort is Formula else p.term()
         except RecursionError:
-            raise _Fail(f"{what} nested too deeply", p.i) from None
-        if p.kinds[p.i] != "EOF":
-            raise _Fail(f"unexpected {p.texts[p.i]!r} after {what}", p.i)
+            raise _Fail(f"{sort.__name__.lower()} nested too deeply", p.i) from None
+        if kinds[p.i] != "EOF":
+            raise _Fail(f"unexpected {texts[p.i]!r} after {sort.__name__.lower()}", p.i)
     except _Fail as e:
         raise ParseError(e.message, _position(src, e.at)) from None
+    if table is not None:
+        table[key] = out
     return out
 
 
-def parse_term(src: str, constants: frozenset[str] = frozenset()) -> Term:
+def parse_term(src: str, constants: frozenset[str] = frozenset(), *,
+               _table: _Table | None = None) -> Term:
     """Parse a justification term; raises ParseError with a position,
-    also for input nested too deeply to parse."""
-    return _parse(src, constants, _Parser.term, "term")
+    also for input nested too deeply to parse.  A file reader passes its
+    _Table, whose constants are constants."""
+    return _parse(src, constants, Term, _table)
 
 
-def parse_formula(src: str, constants: frozenset[str] = frozenset()) -> Formula:
+def parse_formula(src: str, constants: frozenset[str] = frozenset(), *,
+                  _table: _Table | None = None) -> Formula:
     """Parse a formula; raises ParseError with a position, also for input
-    nested too deeply to parse."""
-    return _parse(src, constants, _Parser.formula, "formula")
+    nested too deeply to parse.  A file reader passes its _Table, whose
+    constants are constants."""
+    return _parse(src, constants, Formula, _table)

@@ -93,6 +93,17 @@ def test_deep_nesting_exit_2(capsys, argv):
     assert "nested too deeply" in err
 
 
+def test_deep_line_after_its_group_exit_2(capsys, tmp_path):
+    # the group in line 2 does not let line 3 past the nesting limit
+    chain = " -> ".join(["p"] * 600)
+    pf = tmp_path / "pf.txt"
+    pf.write_text(f"hypotheses:\n  1. ({chain})\n  2. {chain} -> ({chain})\n"
+                  f"proof:\n  1. {chain} -> ({chain}) ; hyp 2\n")
+    rc, out, err = run(capsys, "check", str(pf))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: line 3: bad formula: formula nested too deeply")
+
+
 def test_usage_error_exit_2(capsys):
     rc, _, _ = run(capsys, "no-such-command")
     assert rc == 2
@@ -143,6 +154,21 @@ def test_check_rejects(capsys, tmp_path):
     rc, out, _ = run(capsys, "check", str(pf))
     assert rc == 1
     assert "rejected" in out and "BadMP" in out
+
+
+# "²" is a digit to str.isdigit but not to int(); "٣" is a decimal digit
+@pytest.mark.parametrize("rule,code", [
+    ("hyp ²", 2), ("mp 3,²", 2), ("hyp ١", 0),
+])
+def test_check_rule_numbers(capsys, tmp_path, rule, code):
+    pf = tmp_path / "pf.txt"
+    pf.write_text(PROOF.replace("hyp 1", rule), encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(pf))
+    assert rc == code
+    if code == 2:
+        assert err == f"error: line 4: bad rule {rule!r}\n"
+    else:
+        assert out == "accepted\n"
 
 
 def test_check_missing_file(capsys):

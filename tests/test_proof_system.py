@@ -413,3 +413,28 @@ def test_with_hypotheses_remaps():
     assert widened.steps[0].rule == Hypothesis(1)
     with pytest.raises(HypothesisNotFound):
         with_hypotheses(ACCEPT, (q,))
+
+
+# A line that repeats a group of an earlier line keeps the nesting limit
+# it has alone: 300 parentheses around p, where the earlier line has 200;
+# a 600-long "->" chain followed by "-> (" the same chain ")"; and 200
+# unclosed parentheses, each as deep as a token can go, before a group of
+# 60.
+DEEP = "(" * 200 + "p" + ")" * 200
+CHAIN = " -> ".join(["p"] * 600)
+GROUP = "(" * 60 + "p" + ")" * 60
+
+
+@pytest.mark.parametrize("earlier,line", [
+    (DEEP, "(" * 100 + DEEP + ")" * 100),
+    (f"({CHAIN})", f"{CHAIN} -> ({CHAIN})"),
+    (GROUP, "(" * 200 + GROUP),
+], ids=["parentheses", "chain", "unclosed"])
+def test_nesting_limit_per_line(earlier, line):
+    with pytest.raises(FileFormatError) as alone:
+        parse_proof(f"proof:\n  1. {line} ; hyp 1\n")
+    assert alone.value.message.startswith("bad formula: formula nested too deeply")
+    text = f"hypotheses:\n  1. {earlier}\n  2. {line}\nproof:\n  1. {line} ; hyp 2\n"
+    with pytest.raises(FileFormatError) as exc:
+        parse_proof(text)
+    assert (exc.value.line, exc.value.message) == (3, alone.value.message)
