@@ -21,14 +21,15 @@ from jlogic.syntax import (
     Constant,
     FALSUM,
     Falsum,
+    FileFormatError,
     Formula,
     Implies,
     Just,
     Or,
-    ParseError,
     Sum,
     Term,
     _Table,
+    _file_lines,
     _leaf,
     close_subformulas,
     formula_key,
@@ -48,40 +49,6 @@ class NotAppropriate(Exception):
     def __init__(self, formula: Formula):
         super().__init__(f"no constant covers axiom instance {formula}")
         self.formula = formula
-
-
-class FileFormatError(Exception):
-    """Malformed proof, specification, or model file; carries a line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.message = message
-        self.line = line
-
-
-def _file_lines(text: str):
-    """(line number, line) for each line that keeps some text once its
-    '#' comment is cut off, with surrounding white space stripped."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_at(lineno: int, parse, text: str, table: _Table, prefix: str = ""):
-    """parse(text) with the constants and parse table of the file being
-    read, a ParseError becoming a FileFormatError at the line, its message
-    after prefix."""
-    try:
-        return parse(text, table.constants, _table=table)
-    except ParseError as e:
-        raise FileFormatError(prefix + str(e), lineno) from e
-
-
-def _parse_list(lineno: int, parse, text: str, table: _Table) -> list:
-    """The comma-separated items of text, each parsed as by _parse_at."""
-    return [_parse_at(lineno, parse, item.strip(), table)
-            for item in text.split(",") if item.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +326,7 @@ def parse_cs(text: str) -> ConstantSpecification:
                 raise FileFormatError(f"unknown schema tag {tag!r}", lineno)
             schematic.append((name, tag))
         else:
-            a = _parse_at(lineno, parse_formula, rhs, table, "bad formula: ")
+            a = table.at(lineno, parse_formula, rhs, "bad formula: ")
             if not match_axiom(a):
                 raise FileFormatError(
                     f"{print_formula(a)!r} is not an axiom instance", lineno
@@ -534,16 +501,14 @@ def parse_proof(text: str, constants: frozenset[str] = frozenset()) -> Proof:
         if section == "hypotheses":
             if num != len(hyps) + 1:
                 raise FileFormatError(f"expected hypothesis {len(hyps) + 1}", lineno)
-            hyps.append(
-                _parse_at(lineno, parse_formula, rest, table, "bad formula: ")
-            )
+            hyps.append(table.at(lineno, parse_formula, rest, "bad formula: "))
             continue
         if num != len(steps) + 1:
             raise FileFormatError(f"expected step {len(steps) + 1}", lineno)
         if ";" not in rest:
             raise FileFormatError("expected '<formula> ; <rule>'", lineno)
         ftext, rtext = (part.strip() for part in rest.rsplit(";", 1))
-        conclusion = _parse_at(lineno, parse_formula, ftext, table, "bad formula: ")
+        conclusion = table.at(lineno, parse_formula, ftext, "bad formula: ")
         steps.append(ProofStep(conclusion, _parse_rule(rtext, lineno)))
     if section is None:
         raise FileFormatError("empty proof file", 1)

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
-    FileFormatError,
-    _file_lines,
-    _parse_list,
     bounded_derive,
     match_axiom,
 )
@@ -37,6 +34,7 @@ from jlogic.syntax import (
     Bang,
     Constant,
     FALSUM,
+    FileFormatError,
     Formula,
     Implies,
     Just,
@@ -44,6 +42,7 @@ from jlogic.syntax import (
     Sum,
     Term,
     _Table,
+    _sections,
     close_subformulas,
     formula_key,
     parse_formula,
@@ -475,24 +474,15 @@ def parse_universe(
     formulas), optional `base:`, and optional `goal:` (one formula).  The
     universe is closed under subformulas and extended with the base and
     goal formulas."""
-    table = _Table(
-        cs.constants() if cs is not None
-        else ConstantSpecification.default_schematic().constants()
-    )
+    the_cs = cs if cs is not None else ConstantSpecification.default_schematic()
+    table = _Table(the_cs.constants())
     seeds: list[Formula] = []
     base: list[Formula] = []
     goal: Formula | None = None
-    section = None
-    for lineno, line in _file_lines(text):
-        head, sep, rest = line.partition(":")
-        if sep and head in ("universe", "base", "goal"):
-            section = head
-            line = rest.strip()
-            if not line:
-                continue
-        elif section is None:
-            raise FileFormatError("expected 'universe:', 'base:', or 'goal:'", lineno)
-        formulas = _parse_list(lineno, parse_formula, line, table)
+    heads = ("universe", "base", "goal")
+    for lineno, section, line in _sections(
+            text, heads, heads, "expected 'universe:', 'base:', or 'goal:'"):
+        formulas = table.items(lineno, parse_formula, line)
         if section == "universe":
             seeds += formulas
         elif section == "base":

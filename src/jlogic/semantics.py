@@ -36,19 +36,14 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from jlogic.proof_system import (
-    ConstantSpecification,
-    FileFormatError,
-    _file_lines,
-    _parse_at,
-    _parse_list,
-)
+from jlogic.proof_system import ConstantSpecification
 from jlogic.syntax import (
     And,
     Atom,
     Bang,
     Constant,
     Falsum,
+    FileFormatError,
     Formula,
     Implies,
     Just,
@@ -57,6 +52,7 @@ from jlogic.syntax import (
     App,
     Term,
     _Table,
+    _sections,
     close_subformulas,
     close_subterms,
     formula_key,
@@ -775,20 +771,9 @@ def parse_model(
     formulas: list[Formula] = []
     the_cs = cs if cs is not None else ConstantSpecification.default_schematic()
     table = _Table(the_cs.constants())
-    section = None
-    for lineno, line in _file_lines(text):
-        head, sep, rest = line.partition(":")
-        if sep and head in ("worlds", "order", "atoms", "evidence", "terms", "formulas"):
-            section = head
-            rest = rest.strip()
-            if not rest:
-                continue
-            line = rest
-            if section in ("order", "atoms", "evidence"):
-                raise FileFormatError(f"section {head}: takes indented lines", lineno)
-        elif section is None:
-            raise FileFormatError("expected a section header", lineno)
-
+    for lineno, section, line in _sections(
+            text, ("worlds", "order", "atoms", "evidence", "terms", "formulas"),
+            ("worlds", "terms", "formulas"), "expected a section header"):
         if section == "worlds":
             if worlds is not None:
                 raise FileFormatError("duplicate worlds section", lineno)
@@ -823,13 +808,13 @@ def parse_model(
             w, ttext, ftext = parts
             if w not in worlds:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
-            t = _parse_at(lineno, parse_term, ttext, table)
-            fs = _parse_list(lineno, parse_formula, ftext, table)
+            t = table.at(lineno, parse_term, ttext)
+            fs = table.items(lineno, parse_formula, ftext)
             evidence.setdefault(w, {}).setdefault(t, set()).update(fs)
         elif section == "terms":
-            terms += _parse_list(lineno, parse_term, line, table)
+            terms += table.items(lineno, parse_term, line)
         elif section == "formulas":
-            formulas += _parse_list(lineno, parse_formula, line, table)
+            formulas += table.items(lineno, parse_formula, line)
     if worlds is None:
         raise FileFormatError("missing worlds section", 1)
     order = transitive_reflexive_closure(worlds, pairs)

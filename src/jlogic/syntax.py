@@ -414,6 +414,15 @@ class ParseError(Exception):
         self.pos = pos
 
 
+class FileFormatError(Exception):
+    """Malformed proof, CS, model or universe file; carries a line number."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.message = message
+        self.line = line
+
+
 _IDENT = r"[a-z][a-zA-Z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
 
@@ -532,6 +541,54 @@ class _Table(dict):
             depth += 1
             frame = frame.f_back
         self.room = sys.getrecursionlimit() - depth - _FRAMES_SPARE
+
+    def at(self, lineno: int, parse, text: str, prefix: str = ""):
+        """parse(text) with this table and its constants, a ParseError
+        becoming a FileFormatError at line lineno, its message after
+        prefix."""
+        try:
+            return parse(text, self.constants, _table=self)
+        except ParseError as e:
+            raise FileFormatError(prefix + str(e), lineno) from e
+
+    def items(self, lineno: int, parse, text: str) -> list:
+        """The comma-separated items of text, each parsed as by at."""
+        return [self.at(lineno, parse, item.strip())
+                for item in text.split(",") if item.strip()]
+
+
+# ---------------------------------------------------------------------------
+# File lines
+
+
+def _file_lines(text: str):
+    """(line number, line) for each line that keeps some text once its
+    '#' comment is cut off, with surrounding white space stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _sections(text: str, heads, inline, missing: str):
+    """(line number, section, content) for each content line of a file in
+    sections: a line "head: rest" opens section head, and rest, if any, is
+    its first content line, which only the sections inline take.  Content
+    before the first header is a FileFormatError with message missing.
+    (Proof headers are whole lines; parse_proof matches them itself.)"""
+    section = None
+    for lineno, line in _file_lines(text):
+        head, sep, rest = line.partition(":")
+        if sep and head in heads:
+            section = head
+            line = rest.strip()
+            if not line:
+                continue
+            if head not in inline:
+                raise FileFormatError(f"section {head}: takes indented lines", lineno)
+        elif section is None:
+            raise FileFormatError(missing, lineno)
+        yield lineno, section, line
 
 
 # ---------------------------------------------------------------------------
