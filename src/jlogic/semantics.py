@@ -57,10 +57,9 @@ from jlogic.syntax import (
     close_subterms,
     formula_key,
     formula_terms,
+    identifier_kind,
     parse_formula,
     parse_term,
-    print_formula,
-    print_term,
     term_key,
     term_size,
 )
@@ -722,24 +721,22 @@ def print_model(m: BasicEvaluation) -> str:
         for w in m.worlds:
             if m.atoms[w]:
                 lines.append(f"  {w}: " + " ".join(sorted(m.atoms[w])))
+    # the sort keys are the printed forms, so each member is printed once
     ev_lines = []
     for w in m.worlds:
-        for t in sorted(m.base_evidence[w], key=term_key):
-            formulas = m.base_evidence[w][t]
-            if formulas:
-                ev_lines.append(
-                    f"  {w} | {print_term(t)} | "
-                    + ", ".join(sorted(print_formula(a) for a in formulas))
-                )
+        seeds = m.base_evidence[w]
+        for t in sorted(seeds, key=term_key):
+            if seeds[t]:
+                ev_lines.append(f"  {w} | {term_key(t)} | "
+                                + ", ".join(sorted(map(formula_key, seeds[t]))))
     if ev_lines:
         lines.append("evidence:")
         lines.extend(ev_lines)
-    extra_t = sorted(m.term_universe, key=term_key)
-    if extra_t:
-        lines.append("terms: " + ", ".join(print_term(t) for t in extra_t))
-    extra_f = sorted(m.formula_universe, key=formula_key)
-    if extra_f:
-        lines.append("formulas: " + ", ".join(print_formula(a) for a in extra_f))
+    if m.term_universe:
+        lines.append("terms: " + ", ".join(sorted(map(term_key, m.term_universe))))
+    if m.formula_universe:
+        lines.append("formulas: "
+                     + ", ".join(sorted(map(formula_key, m.formula_universe))))
     return "\n".join(lines) + "\n"
 
 
@@ -799,7 +796,11 @@ def parse_model(
             w = w.strip()
             if w not in worlds:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
-            atoms.setdefault(w, set()).update(names.split())
+            names = names.split()
+            for name in names:
+                if identifier_kind(name) != "ATOM":
+                    raise FileFormatError(f"bad atom {name!r}", lineno)
+            atoms.setdefault(w, set()).update(names)
         elif section == "evidence":
             # formulas may contain "_|_", so only the first two bars separate
             parts = [p.strip() for p in line.split("|", 2)]

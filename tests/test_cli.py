@@ -233,6 +233,30 @@ def test_duplicate_world_file_exit_2(capsys, tmp_path):
     assert (rc, out, err) == (2, "", "error: line 1: duplicate world 'w0'\n")
 
 
+def test_bad_atom_file_exit_2(capsys, tmp_path):
+    model_file = tmp_path / "m.txt"
+    model_file.write_text("worlds: w0 w1\norder:\n  w0 <= w1\natoms:\n  w0: x 1 p,q\n")
+    for argv in (("model-validate", model_file), ("model-eval", model_file, "w0", "p")):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert (rc, out, err) == (2, "", "error: line 5: bad atom 'x'\n")
+
+
+def test_internalize_too_deep_to_print_exit_1(capsys, tmp_path):
+    # the mp chain is accepted, and its internalizing term is one App per
+    # mp step deep: too deep for the recursive printer
+    steps = ["  1. p ; hyp 1"]
+    for k in range(1, sys.getrecursionlimit()):
+        steps += [f"  {2 * k}. p -> p ; hyp 2", f"  {2 * k + 1}. p ; mp {2 * k},{2 * k - 1}"]
+    pf = tmp_path / "pf.txt"
+    pf.write_text("hypotheses:\n  1. p\n  2. p -> p\nproof:\n" + "\n".join(steps) + "\n")
+    assert run(capsys, "check", str(pf)) == (0, "accepted\n", "")
+    out_file = tmp_path / "int.txt"
+    rc, out, err = run(capsys, "internalize", str(pf), "x,y", str(out_file))
+    assert (rc, out) == (1, "")
+    assert err == "error: term or formula nested too deeply to print\n"
+    assert not out_file.exists()
+
+
 def test_model_eval_unknown_world_exit_2(capsys, tmp_path):
     model_file = tmp_path / "m.txt"
     model_file.write_text("worlds: w0\n")

@@ -374,6 +374,15 @@ proof:
      "line 3: bad formula: unexpected character ',' (at position 6)"),
     (parse_cs, "kb := x:p -> p   # J-T\nkc := p ?\n", 2,
      "line 2: bad formula: unexpected character '?' (at position 2)"),
+    # section headers are whole lines, and steps come after one
+    (parse_proof, "# comment\n\n  1. p ; hyp 1\nproof:\n", 3,
+     "line 3: expected 'hypotheses:' or 'proof:'"),
+    (parse_proof, "proof: 1. p ; hyp 1\n", 1,
+     "line 1: expected 'hypotheses:' or 'proof:'"),
+    (parse_proof, "hypotheses:\n  x:p\nproof:\n  1. x:p ; hyp 1\n", 2,
+     "line 2: expected 'N. ...'"),
+    (parse_proof, "proof:\n  1. p -> p ; ax IPC-1\n  p ; hyp 1\n", 3,
+     "line 3: expected 'N. ...'"),
 ])
 def test_proof_and_cs_file_bad_item(parse, text, line, message):
     with pytest.raises(FileFormatError) as exc:

@@ -541,6 +541,10 @@ def test_parse_universe_errors():
      "line 4: expected formula (at position 4)"),
     ("universe: p\ngoal: p ?\n", 2, "line 2: unexpected character '?' (at position 2)"),
     ("universe: p\nbase: x:y, q\n", 2, "line 2: expected formula (at position 2)"),
+    # content needs a section first
+    ("p, q\n", 1, "line 1: expected 'universe:', 'base:', or 'goal:'"),
+    ("# comment\n\nq\nuniverse: p\n", 3,
+     "line 3: expected 'universe:', 'base:', or 'goal:'"),
 ])
 def test_universe_file_bad_item(text, line, message):
     with pytest.raises(FileFormatError) as exc:

@@ -497,6 +497,17 @@ def test_model_file_errors():
     ("worlds: w0\nterms: x, y +\n", 2, "line 2: expected term (at position 3)"),
     ("worlds: w0\n\nformulas: p, (q   # open\n", 3,
      "line 3: expected ')' (at position 2)"),
+    # section headers: content needs a section, and these take indented lines
+    ("# comment\n\nw0 w1\nworlds: w0 w1\n", 3, "line 3: expected a section header"),
+    ("worlds: w0 w1\norder: w0 <= w1\n", 2, "line 2: section order: takes indented lines"),
+    ("worlds: w0\natoms: w0: p\n", 2, "line 2: section atoms: takes indented lines"),
+    ("worlds: w0\n\nevidence: w0 | x | p\n", 3,
+     "line 3: section evidence: takes indented lines"),
+    # atoms are atom names, one per white-space separated word
+    ("worlds: w0 w1\norder:\n  w0 <= w1\natoms:\n  w0: x 1 p,q\n", 5,
+     "line 5: bad atom 'x'"),
+    ("worlds: w0\natoms:\n  w0: p p,q\n", 3, "line 3: bad atom 'p,q'"),
+    ("worlds: w0\natoms:\n  w0: p _|_\n", 3, "line 3: bad atom '_|_'"),
 ])
 def test_model_file_bad_item(text, line, message):
     with pytest.raises(FileFormatError) as exc:
