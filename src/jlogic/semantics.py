@@ -32,6 +32,7 @@ search gets the same tables once per canonical poset instead.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -707,9 +708,19 @@ def find_countermodel(
 # Model files
 
 
+# What a world name in a model file may not hold: white space and "#",
+# which end a name or a line, and the separators of the atoms:, evidence:
+# and order: lines.
+_BAD_WORLD = re.compile(r"[\s#:|]|<=")
+
+
 def print_model(m: BasicEvaluation) -> str:
     """Render a model in the section format accepted by parse_model.
-    Evidence lines show the base seeds, not the derived closure."""
+    Evidence lines show the base seeds, not the derived closure.  Raises
+    ValueError for a world whose name parse_model cannot read back."""
+    for w in m.worlds:
+        if not w or _BAD_WORLD.search(w):
+            raise ValueError(f"world {w!r} cannot be written to a model file")
     lines = ["worlds: " + " ".join(m.worlds)]
     strict = sorted((a, b) for (a, b) in m.order if a != b)
     if strict:
@@ -777,6 +788,9 @@ def parse_model(
             worlds = tuple(line.split())
             if not worlds:
                 raise FileFormatError("empty worlds list", lineno)
+            for w in worlds:
+                if _BAD_WORLD.search(w):
+                    raise FileFormatError(f"bad world {w!r}", lineno)
             if len(set(worlds)) != len(worlds):
                 repeated = next(w for i, w in enumerate(worlds) if w in worlds[:i])
                 raise FileFormatError(f"duplicate world {repeated!r}", lineno)

@@ -499,14 +499,22 @@ class _Fail(Exception):
 # Parse tables
 #
 # A file reader parses many lines that repeat each other's subformulas
-# (deduce, internalize, J-4 and mp steps rewrite earlier conclusions inside
-# new ones), so it gives the parser one _Table for the whole call.  The
-# table maps a token text, the texts joined by spaces, to the node parsed
-# from it: the text of every whole line, of every parenthesized group
-# without its parentheses, and of every name and atom.  A group or line
-# met again comes back as the same node, and the parser jumps past it.
-# The separator keeps "(a b)" from meeting "(ab)".  A text that parses as
-# a term contains no atom and no _|_, so it never parses as a formula: one
+# (deduce, internalize, J-4 and mp steps rewrite earlier conclusions
+# inside new ones), so it gives the parser one _Table for the whole
+# call.  The table maps a token text, the texts joined by spaces, to the
+# node parsed from it: the text of every whole line, of every
+# parenthesized group without its parentheses, of every name and atom, and
+# of the right operand of every "->".  A group, line or operand met again
+# comes back as the same node, and the parser jumps past it.  "->" is the
+# only operator that groups to the right and the lowest of its sort, so
+# its right operand runs to the ")" or EOF that ends its group or line:
+# the parser keeps that token as end (lookup finds a group's ")" when
+# atomic enters it), and stores an operand only when its parse stopped
+# there.  The consequent B of an mp major A -> B prints without
+# parentheses, so this is what gives the major the very node of the step
+# B, and check_proof's modus-ponens test meets identical nodes.  The
+# separator keeps "(a b)" from meeting "(ab)".  A text that parses as a
+# term contains no atom and no _|_, so it never parses as a formula: one
 # table serves both sorts, and a hit counts only when its node has the
 # sort wanted there.  What a text parses to depends on its tokens and the
 # constants alone, and a table keeps one set of constants.
@@ -517,7 +525,8 @@ class _Fail(Exception):
 # at most _FRAMES_PER_TOKEN frames deeper per token (a "(" that opens a
 # formula costs atomic, formula, binary and just); _FRAMES_SPARE covers
 # the frames from the reader down to the parser's first token.  unary and
-# atomic handle their groups inline, so a table adds no frame per level.
+# atomic handle their groups inline, and binary the right operands of
+# "->", so a table adds no frame per level.
 
 _FRAMES_PER_TOKEN = 4
 _FRAMES_SPARE = 32
@@ -608,12 +617,13 @@ class _Parser:
         self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, at
         self.table = table
         self.depths: list[int] | None = None  # parenthesis depth after each token
+        self.end = len(kinds) - 1  # the ")" or EOF that ends the formula group or line
 
-    def lookup(self, i: int, sort: type) -> tuple[str | None, _Node | None]:
-        """The table key of the group that opens at token i (None when the
-        group is not closed), and the node of sort that the table holds
-        for it, with the parser moved past the group's ")" (None when it
-        holds none)."""
+    def lookup(self, i: int, sort: type) -> tuple[int | None, str | None, _Node | None]:
+        """The index of the ")" that closes the group opening at token i
+        and the group's table key (both None when the group is not
+        closed), and the node of sort that the table holds for it, with
+        the parser moved past the ")" (None when it holds none)."""
         depths = self.depths
         if depths is None:
             depths = self.depths = list(itertools.accumulate(
@@ -621,13 +631,13 @@ class _Parser:
         try:
             end = depths.index(depths[i] - 1, i)
         except ValueError:
-            return None, None
+            return None, None, None
         key = " ".join(self.texts[i + 1:end])
         node = self.table.get(key)
         if isinstance(node, sort):
             self.i = end + 1
-            return key, node
-        return key, None
+            return end, key, node
+        return end, key, None
 
     def close(self) -> None:
         """Step over the ")" that must come next."""
@@ -643,8 +653,23 @@ class _Parser:
         kinds = self.kinds
         op = ops.get(kinds[self.i])
         while op is not None and op.prec >= level:
-            self.i += 1
-            right = self.binary(ops, operand, op.prec if op.right else op.prec + 1)
+            self.i = i = self.i + 1
+            if not op.right:
+                right = self.binary(ops, operand, op.prec + 1)
+            elif self.table is None or self.end - i < 2:
+                # one token is an atom, which atomic keys, or _|_
+                right = self.binary(ops, operand, op.prec)
+            else:
+                # "->": its right operand runs to end (see Parse tables)
+                end = self.end
+                key = " ".join(self.texts[i:end])
+                right = self.table.get(key)
+                if isinstance(right, Formula):
+                    self.i = end
+                else:
+                    right = self.binary(ops, operand, op.prec)
+                    if self.i == end:
+                        self.table[key] = right
             left = op.node(left, right)
             op = ops.get(kinds[self.i])
         return left
@@ -673,21 +698,6 @@ class _Parser:
     def unary(self) -> Term:
         i = self.i
         kind = self.kinds[i]
-        if kind == "BANG":
-            self.i = i + 1
-            return Bang(self.unary())
-        if kind == "LPAR":
-            key = None
-            if self.table is not None:
-                key, t = self.lookup(i, Term)
-                if t is not None:
-                    return t
-            self.i = i + 1
-            t = self.term()
-            self.close()
-            if key is not None:
-                self.table[key] = t
-            return t
         if kind == "NAME":
             self.i = i + 1
             name = self.texts[i]
@@ -701,6 +711,21 @@ class _Parser:
                 leaf = Constant if is_constant_name(name, self.constants) else Variable
                 t = table[name] = leaf(name)
             return t
+        if kind == "LPAR":
+            key = None
+            if self.table is not None:
+                _, key, t = self.lookup(i, Term)
+                if t is not None:
+                    return t
+            self.i = i + 1
+            t = self.term()
+            self.close()
+            if key is not None:
+                self.table[key] = t
+            return t
+        if kind == "BANG":
+            self.i = i + 1
+            return Bang(self.unary())
         if kind == "ATOM":
             raise _Fail(f"atom {self.texts[i]!r} used as a term", i)
         raise _Fail("expected term", i)
@@ -717,7 +742,7 @@ class _Parser:
         # first and fall back unless a ":" commits us to it.  A group the
         # table holds as a formula is no term.
         if kinds[i] == "LPAR" and self.table is not None:
-            a = self.lookup(i, Formula)[1]
+            a = self.lookup(i, Formula)[2]
             if a is not None:
                 return a
         try:
@@ -734,21 +759,6 @@ class _Parser:
     def atomic(self) -> Formula:
         i = self.i
         kind = self.kinds[i]
-        if kind == "FALSUM":
-            self.i = i + 1
-            return FALSUM
-        if kind == "LPAR":
-            key = None
-            if self.table is not None:
-                key, a = self.lookup(i, Formula)
-                if a is not None:
-                    return a
-            self.i = i + 1
-            a = self.formula()
-            self.close()
-            if key is not None:
-                self.table[key] = a
-            return a
         if kind == "ATOM":
             self.i = i + 1
             name = self.texts[i]
@@ -759,6 +769,25 @@ class _Parser:
             if a is None:
                 a = table[name] = Atom(name)
             return a
+        if kind == "LPAR":
+            key = None
+            outer = self.end
+            if self.table is not None:
+                end, key, a = self.lookup(i, Formula)
+                if a is not None:
+                    return a
+                if key is not None:
+                    self.end = end
+            self.i = i + 1
+            a = self.formula()
+            self.close()
+            if key is not None:
+                self.end = outer
+                self.table[key] = a
+            return a
+        if kind == "FALSUM":
+            self.i = i + 1
+            return FALSUM
         raise _Fail("expected formula", i)
 
 

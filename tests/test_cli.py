@@ -14,6 +14,8 @@ import pytest
 import jlogic
 from jlogic import cli
 from jlogic.cli import main
+from jlogic.proof_system import parse_proof
+from jlogic.syntax import _Table, parse_formula, print_formula
 
 PROOF = """hypotheses:
   1. x:p
@@ -102,6 +104,35 @@ def test_deep_line_after_its_group_exit_2(capsys, tmp_path):
     rc, out, err = run(capsys, "check", str(pf))
     assert (rc, out) == (2, "")
     assert err.startswith("error: line 3: bad formula: formula nested too deeply")
+
+
+def test_deep_chain_in_a_group_after_its_consequents(capsys, tmp_path):
+    # an earlier line keys every consequent of the chain; in one group, the
+    # chain parses as alone just under the table's token limit and just
+    # over it, and a chain too deep to parse fails as it does alone
+    def room():  # that of the table parse_proof builds, one frame down
+        return _Table(frozenset()).room
+
+    under = (room() - 17) // 8  # "(r -> " chain ")" has 2n + 4 tokens
+    for n in (under, under + 1):
+        chain = " -> ".join(f"p{i}" for i in range(n))
+        pi = parse_proof(f"proof:\n  1. q -> {chain} ; hyp 1\n"
+                         f"  2. (r -> {chain}) ; hyp 1\n")
+        earlier, line = (step.conclusion for step in pi.steps)
+        alone = parse_formula(f"(r -> {chain})")
+        assert line == alone and earlier.right == line.right
+        assert print_formula(line, True) == print_formula(alone, True)
+    chain = " -> ".join(["p"] * 1000)
+    errors = []
+    for first in ("q", "q -> " + " -> ".join(["p"] * 100)):
+        pf = tmp_path / "pf.txt"
+        pf.write_text(f"hypotheses:\n  1. {first}\n  2. ({chain})\n"
+                      f"proof:\n  1. q ; hyp 1\n")
+        rc, out, err = run(capsys, "check", str(pf))
+        assert (rc, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: line 3: bad formula: formula nested too deeply")
 
 
 def test_usage_error_exit_2(capsys):
@@ -231,6 +262,14 @@ def test_duplicate_world_file_exit_2(capsys, tmp_path):
     model_file.write_text("worlds: w0 w0\n")
     rc, out, err = run(capsys, "model-validate", str(model_file))
     assert (rc, out, err) == (2, "", "error: line 1: duplicate world 'w0'\n")
+
+
+def test_bad_world_file_exit_2(capsys, tmp_path):
+    model_file = tmp_path / "m.txt"
+    model_file.write_text("worlds: w0 a:b\natoms:\n  a:b: p\n")
+    for argv in (("model-validate", model_file), ("model-eval", model_file, "w0", "p")):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert (rc, out, err) == (2, "", "error: line 1: bad world 'a:b'\n")
 
 
 def test_bad_atom_file_exit_2(capsys, tmp_path):

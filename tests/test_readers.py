@@ -63,6 +63,14 @@ def corruptions(text, rng, n=2):
     return out
 
 
+def internalized(pi):
+    """internalize(pi) with fresh variables as the hypotheses' witnesses."""
+    used = {str(t) for st in pi.steps for t in formula_terms(st.conclusion)}
+    fresh = [Variable(f"v{i}") for i in range(len(pi.hypotheses) + len(used))
+             if f"v{i}" not in used][:len(pi.hypotheses)]
+    return internalize(pi, tuple(fresh), CS)[1]
+
+
 def proof_files(seeds):
     """Printed accepted proofs with their deduce and internalize outputs."""
     for seed in seeds:
@@ -70,10 +78,7 @@ def proof_files(seeds):
         pi = random_accepted_proof(rng, CS, max_hyps=3)
         yield print_proof(pi)
         yield print_proof(deduce(pi, pi.hypotheses[rng.randrange(len(pi.hypotheses))]))
-        used = {str(t) for st in pi.steps for t in formula_terms(st.conclusion)}
-        fresh = [Variable(f"v{i}") for i in range(len(pi.hypotheses) + len(used))
-                 if f"v{i}" not in used][:len(pi.hypotheses)]
-        yield print_proof(internalize(pi, tuple(fresh), CS)[1])
+        yield print_proof(internalized(pi))
 
 
 def model_files(seeds):
@@ -173,23 +178,38 @@ def test_cs_reader_matches_lines_alone(seen):
     assert read_all(parse_cs, texts, seen) > 200
 
 
-def test_deduced_proof_shares_nodes():
-    """The parenthesized antecedent of an MP major parsed back is the
-    very node of its minor's conclusion."""
-    rng = random.Random(7)
-    pi = random_accepted_proof(rng, CS, max_hyps=3)
-    back = parse_proof(print_proof(deduce(pi, pi.hypotheses[0])), CONSTANTS)
-    shared = 0
+def mp_sharing(pi):
+    """Read pi back from its printed form and return, over its MP steps,
+    how many there are and how many have a parenthesized antecedent.  That
+    antecedent is the very node of the minor's conclusion, and the
+    consequent always the very node of the step's conclusion."""
+    back = parse_proof(print_proof(pi), CONSTANTS)
+    shared = mps = 0
     for step in back.steps:
         rule = step.rule
         if isinstance(rule, ModusPonens):
             major = back.steps[rule.major].conclusion
             minor = back.steps[rule.minor].conclusion
             assert major.left == minor
+            assert major.right is step.conclusion
+            mps += 1
             if isinstance(minor, Implies):  # printed in parentheses in major
                 assert major.left is minor
                 shared += 1
-    assert shared > 0
+    return mps, shared
+
+
+def test_deduced_proof_shares_nodes():
+    rng = random.Random(7)
+    pi = random_accepted_proof(rng, CS, max_hyps=3)
+    mps, shared = mp_sharing(deduce(pi, pi.hypotheses[0]))
+    assert mps > 0 and shared > 0
+
+
+def test_internalized_proof_shares_nodes():
+    rng = random.Random(7)
+    mps, _ = mp_sharing(internalized(random_accepted_proof(rng, CS, max_hyps=3)))
+    assert mps > 0
 
 
 def test_file_lines_share_subtrees():
@@ -200,12 +220,26 @@ def test_file_lines_share_subtrees():
     # a table lives for one call: a second call builds its own nodes
     again = parse_proof("proof:\n  1. p -> q ; ax IPC-1\n").steps[0].conclusion
     assert again == a and again is not a
+    # the consequent of "->" is keyed too, at the top of a line and in a group
+    pi = parse_proof("proof:\n  1. p -> q -> r ; ax IPC-1\n  2. q -> r ; ax IPC-1\n"
+                     "  3. (p -> q -> r) -> p ; ax IPC-1\n  4. (p1 -> q -> r) -> q -> r"
+                     " ; ax IPC-1\n")
+    a, b, c, d = (step.conclusion for step in pi.steps)
+    assert b is a.right and c.left is a
+    assert d.left.right is b and d.right is b
 
 
 @pytest.mark.parametrize("earlier,line", [
     ("(xy):p", "(x y):p"),  # token boundaries are part of a key
     ("(p -> q)", "x.(p -> q):p"),  # a formula group is no term
     ("x.(y):p", "(y) -> p"),  # a term group is no formula
+    # the earlier line keys the consequent "r -> q"; the later one fails
+    # elsewhere: an unclosed group, or a token after the consequent
+    ("p -> r -> q", "(p -> r -> q"),
+    ("p -> r -> q", "p -> (r -> q"),
+    ("p -> r -> q", "(p -> r -> q) r"),
+    ("p -> r -> q", "p -> r -> q r"),
+    ("p -> r -> q", "p -> r -> q)"),
 ])
 def test_table_hits_only_the_same_tokens_and_sort(earlier, line):
     text = f"proof:\n  1. {earlier} ; ax J-T\n  2. {line} ; ax J-T\n"

@@ -508,11 +508,23 @@ def test_model_file_errors():
      "line 5: bad atom 'x'"),
     ("worlds: w0\natoms:\n  w0: p p,q\n", 3, "line 3: bad atom 'p,q'"),
     ("worlds: w0\natoms:\n  w0: p _|_\n", 3, "line 3: bad atom '_|_'"),
+    # a world name holds no separator of the atoms:, evidence: or order: lines
+    ("worlds: a:b c|d\n", 1, "line 1: bad world 'a:b'"),
+    ("# x\nworlds: w0 c|d\n", 2, "line 2: bad world 'c|d'"),
+    ("worlds: w0 a<=b\n", 1, "line 1: bad world 'a<=b'"),
 ])
 def test_model_file_bad_item(text, line, message):
     with pytest.raises(FileFormatError) as exc:
         parse_model(text)
     assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+@pytest.mark.parametrize("world", ["", "a b", "a\tb", "a:b", "c|d", "w#1", "a<=b"])
+def test_print_model_rejects_unreadable_world(world):
+    m = BasicEvaluation(("w0", world), (), {"w0": set(), world: {"p"}},
+                        {world: {Variable("x"): {Atom("p")}}})
+    with pytest.raises(ValueError, match="cannot be written"):
+        print_model(m)
 
 
 def test_model_file_closes_order():
