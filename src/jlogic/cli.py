@@ -364,9 +364,6 @@ def main(argv=None) -> int:
             FailedPrecondition, CapExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RecursionError:  # the printer recurses (README, Guarantees)
-        print("error: term or formula nested too deeply to print", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

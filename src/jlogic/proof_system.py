@@ -10,8 +10,9 @@ necessitation: from (c, A) in the constant specification, infer c:A.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from jlogic.syntax import (
     And,
@@ -236,33 +237,36 @@ class ConstantSpecification:
 
     schematic: tuple[tuple[str, str], ...] = ()  # (constant, schema tag)
     explicit: tuple[tuple[str, Formula], ...] = ()  # (constant, instance)
+    # derived from the two above in __post_init__, and ignored by ==:
+    # the constants, and the schema tags and explicit instances listed
+    # for each constant
+    _constants: frozenset[str] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[str, tuple[list[str], set[Formula]]] = {}
+        for c, tag in self.schematic:
+            index.setdefault(c, ([], set()))[0].append(tag)
+        for c, inst in self.explicit:
+            index.setdefault(c, ([], set()))[1].add(inst)
+        object.__setattr__(self, "_constants", frozenset(index))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
+    @functools.cache
     def default_schematic(cls) -> "ConstantSpecification":
+        """The default specification; one instance, as a specification
+        is immutable."""
         return cls(schematic=tuple(
             (f"c{i + 1}", tag) for i, tag in enumerate(AXIOM_TAGS)
         ))
 
     def constants(self) -> frozenset[str]:
-        return frozenset(c for c, _ in self.schematic) | frozenset(
-            c for c, _ in self.explicit
-        )
-
-    def _entries(self, constant: str) -> tuple:
-        """The schema tags and the explicit instances listed for a
-        constant, from an index by constant name built on first use."""
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = self.__dict__["_index"] = {}
-            for c, tag in self.schematic:
-                index.setdefault(c, ([], set()))[0].append(tag)
-            for c, inst in self.explicit:
-                index.setdefault(c, ([], set()))[1].add(inst)
-        return index.get(constant, ((), ()))
+        return self._constants
 
     def covers(self, constant: str, a: Formula) -> bool:
         """True iff (constant, a) is in the specified set."""
-        tags, insts = self._entries(constant)
+        tags, insts = self._index.get(constant, ((), ()))
         for tag in tags:
             if _MATCHERS[tag](a, {}):
                 return True

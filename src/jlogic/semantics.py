@@ -537,14 +537,22 @@ def _canonical_posets(n: int) -> list[tuple]:
 
 def _seed_assignments(costs, k: int, budget: int):
     """Every k-tuple of indices into costs whose costs sum to at most
-    budget, in the order of itertools.product."""
+    budget, in the order of itertools.product: a depth-first walk on an
+    explicit stack of (prefix, budget left), each prefix's extensions
+    pushed last index first."""
     if k == 0:
         yield ()
         return
-    for s, cost in enumerate(costs):
-        if cost <= budget:
-            for rest in _seed_assignments(costs, k - 1, budget - cost):
-                yield (s,) + rest
+    indices = range(len(costs))
+    stack = [((), budget)]
+    while stack:
+        prefix, left = stack.pop()
+        fits = [s for s in indices if costs[s] <= left]
+        if len(prefix) == k - 1:
+            for s in fits:
+                yield prefix + (s,)
+        else:
+            stack += [(prefix + (s,), left - costs[s]) for s in reversed(fits)]
 
 
 def find_countermodel(

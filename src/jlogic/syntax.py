@@ -14,6 +14,7 @@ identifier is a justification variable.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ from typing import NamedTuple
 # protocol once: ``==`` is the hash-first, stack-driven ``_equal`` below,
 # ``hash`` returns the hash the constructor stored, and ``__reduce__``
 # rebuilds a node through its constructor, so an unpickled node hashes
-# under the loading process's hash seed.  ``_key`` holds the printed form
-# once ``formula_key``/``term_key`` has asked for it.
+# under the loading process's hash seed.  ``_key`` holds the minimal
+# printed form: a leaf's from when it is built, a composite node's from
+# when the printer first reaches it (see _show).
 #
 # A node's hash is computed from its class name and its name or its
 # children's stored hashes, so hashing costs O(1) and never recurses.
@@ -105,6 +107,7 @@ def _leaf(cls):
         d = self.__dict__
         d["name"] = name
         d["_hash"] = hash((tag, name))
+        d["_key"] = name
 
     cls.__init__ = __init__
     cls.__eq__ = _equal_names
@@ -177,7 +180,9 @@ class Atom(Formula):
 class Falsum(Formula):
 
     def __init__(self):
-        self.__dict__["_hash"] = hash("Falsum")
+        d = self.__dict__
+        d["_hash"] = hash("Falsum")
+        d["_key"] = "_|_"
 
 
 @_binary
@@ -343,62 +348,85 @@ _OPERATORS = {
 }
 _TERM_OPS = {k: op for k, op in _OPERATORS.items() if issubclass(op.node, Term)}
 _FORMULA_OPS = {k: op for k, op in _OPERATORS.items() if issubclass(op.node, Formula)}
-_OP_OF_NODE = {op.node: op for op in _OPERATORS.values()}
 _PREFIX = 1 + max(op.prec for op in _OPERATORS.values())
+_PREC = {op.node: op.prec for op in _OPERATORS.values()}  # other nodes: _PREFIX
+# What the printer puts between the two operands of a node, and the
+# levels at which it puts the left and the right one (see _show).  "!t"
+# prints as an empty left operand, "!" and t.
+_SEPARATORS = {op.node: (op.text, op.prec + op.right, op.prec + (not op.right))
+               for op in _OPERATORS.values()}
+_SEPARATORS[Just] = (":", 0, _PREFIX)
+_SEPARATORS[Bang] = ("!", 0, _PREFIX)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
+_kept = operator.attrgetter("_key")  # a node's minimal form, or None
+_NOTHING = Variable("")  # the left operand of "!"
 
-def _show(node, full: bool, level: int) -> str:
-    """Print a term or formula that sits at a precedence level.  A
+
+def _show(root, full: bool) -> str:
+    """Print a term or formula, walking it on an explicit stack, each
+    node's operands first.  An operand sits at a precedence level: a
     left-grouping operator puts its left operand at its own precedence and
-    its right operand one above, a right-grouping one the reverse.  A
-    binary node at a level above its precedence is parenthesized; with
-    full, every composite node is."""
-    kind = type(node)
-    op = _OP_OF_NODE.get(kind)
-    if op is not None:
-        prec = op.prec
-        left, right = (prec + 1, prec) if op.right else (prec, prec + 1)
-        s = _show(node.left, full, left) + op.text + _show(node.right, full, right)
-        return f"({s})" if full or level > prec else s
-    if kind is Bang:
-        s = "!" + _show(node.inner, full, _PREFIX)
-    elif kind is Just:
-        s = _show(node.term, full, 0) + ":" + _show(node.body, full, _PREFIX)
-    elif kind is Falsum:
-        return "_|_"
-    else:
-        return node.name
-    return f"({s})" if full else s
+    its right operand one above, a right-grouping one the reverse, and the
+    operand of "!" and the body of "t:A" sit at _PREFIX.  A binary operand
+    at a level above its precedence is parenthesized.  The minimal form of
+    every node the walk reaches is kept on the node as _key, where every
+    later print reads it (a leaf gets its _key when it is built).  With
+    full, every composite node is parenthesized instead, and the forms are
+    kept in a table local to the call, by node id."""
+    texts: dict[int, str] = {}
+    form = (lambda node: texts.get(id(node))) if full else _kept
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if form(node) is not None:
+            continue
+        kind = type(node)
+        if kind not in _SEPARATORS:  # a leaf, met only with full
+            texts[id(node)] = node._key
+            continue
+        if kind is Just:
+            left, right = node.term, node.body
+        elif kind is Bang:
+            left, right = _NOTHING, node.inner
+        else:
+            left, right = node.left, node.right
+        fl, fr = form(left), form(right)
+        if fl is None or fr is None:
+            stack += node, right, left
+            continue
+        sep, left_level, right_level = _SEPARATORS[kind]
+        if full:
+            texts[id(node)] = "(" + fl + sep + fr + ")"
+            continue
+        if _PREC.get(type(left), _PREFIX) < left_level:
+            fl = "(" + fl + ")"
+        if _PREC.get(type(right), _PREFIX) < right_level:
+            fr = "(" + fr + ")"
+        node.__dict__["_key"] = fl + sep + fr
+    return form(root)
 
 
 def print_term(t: Term, full_parens: bool = False) -> str:
     """Render t with minimal parentheses (or fully parenthesized)."""
-    return _show(t, full_parens, 0)
+    return _show(t, True) if full_parens else t._key or _show(t, False)
 
 
 def print_formula(a: Formula, full_parens: bool = False) -> str:
     """Render a with minimal parentheses (or fully parenthesized)."""
-    return _show(a, full_parens, 0)
+    return _show(a, True) if full_parens else a._key or _show(a, False)
 
 
 def formula_key(a: Formula) -> str:
-    """Sort key: the printed form (injective on formulas), printed once
-    per node and kept on it."""
-    key = a._key
-    if key is None:
-        key = a.__dict__["_key"] = print_formula(a)
-    return key
+    """Sort key: the printed form (injective on formulas)."""
+    return print_formula(a)
 
 
 def term_key(t: Term) -> str:
-    key = t._key
-    if key is None:
-        key = t.__dict__["_key"] = print_term(t)
-    return key
+    return print_term(t)
 
 
 # ---------------------------------------------------------------------------

@@ -280,20 +280,32 @@ def test_bad_atom_file_exit_2(capsys, tmp_path):
         assert (rc, out, err) == (2, "", "error: line 5: bad atom 'x'\n")
 
 
-def test_internalize_too_deep_to_print_exit_1(capsys, tmp_path):
+def test_internalize_deep_chain_prints(capsys, tmp_path):
     # the mp chain is accepted, and its internalizing term is one App per
-    # mp step deep: too deep for the recursive printer
+    # mp step deep, which the printer takes as it takes any other
     steps = ["  1. p ; hyp 1"]
-    for k in range(1, sys.getrecursionlimit()):
-        steps += [f"  {2 * k}. p -> p ; hyp 2", f"  {2 * k + 1}. p ; mp {2 * k},{2 * k - 1}"]
+    for k in range(1, 1001):
+        steps += [f"  {2 * k}. p -> p ; hyp 2",
+                  f"  {2 * k + 1}. p ; mp {2 * k},{2 * k - 1}"]
     pf = tmp_path / "pf.txt"
-    pf.write_text("hypotheses:\n  1. p\n  2. p -> p\nproof:\n" + "\n".join(steps) + "\n")
+    pf.write_text("hypotheses:\n  1. p\n  2. p -> p\nproof:\n"
+                  + "\n".join(steps) + "\n")
     assert run(capsys, "check", str(pf)) == (0, "accepted\n", "")
     out_file = tmp_path / "int.txt"
     rc, out, err = run(capsys, "internalize", str(pf), "x,y", str(out_file))
-    assert (rc, out) == (1, "")
-    assert err == "error: term or formula nested too deeply to print\n"
-    assert not out_file.exists()
+    term = "y.(" * 999 + "y.x" + ")" * 999
+    assert (rc, out, err) == (0, f"internalized by {term}\n", "")
+    last = out_file.read_text().splitlines()[-1]
+    assert last.split(". ", 1)[1] == f"{term}:p ; mp 4000,3997"
+
+
+def test_countermodel_of_many_evidenced_conjuncts(capsys):
+    # one seed-pool entry per conjunct: the seed assignments of all 1,100
+    # are walked without a frame per entry
+    goal = "(" + " /\\ ".join(f"x:p{i}" for i in range(1100)) + ") \\/ q"
+    rc, out, err = run(capsys, "countermodel", goal, "--max-worlds", "1")
+    assert (rc, err) == (0, "")
+    assert out.startswith("# false at: w0\nworlds: w0\nterms: x\n")
 
 
 def test_model_eval_unknown_world_exit_2(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Module layering: a private name of the package is imported only from
 jlogic.syntax, whose file front end and parse tables the readers share.
-And the inventory of the package's functions that call themselves, each
-with what bounds its depth."""
+And the inventory of the recursion in the package: the cycles of each
+module's call graph, each with what bounds its depth."""
 
 import ast
 from pathlib import Path
@@ -38,43 +38,137 @@ def test_readers_raise_one_error_class():
         is saturation.FileFormatError is syntax.FileFormatError
 
 
-# Every function of the package that calls itself by name (a method
-# through self), and what bounds the depth of its recursion.
+# The cycles of each module's call graph (see call_graph), each as the
+# sorted names of its functions, and what bounds the depth of its
+# recursion.
 RECURSIVE = {
-    "generators.random_term",  # its depth argument
-    "generators.random_formula",  # its depth argument
-    "generators.random_formula_over.go",  # the depth argument
-    "proof_system._compile",  # the size of an axiom schema
-    "proof_system._substitute",  # the size of an axiom schema
-    "semantics._seed_assignments",  # the length of the seed pool
-    "syntax._show",  # the printed tree; RecursionError near the limit
-    "syntax._Parser.binary",  # room and RecursionError, in _parse
-    "syntax._Parser.unary",  # room and RecursionError, in _parse
-    "syntax._Parser.just",  # room and RecursionError, in _parse
+    ("generators.random_term",): "its depth argument",
+    ("generators.random_formula",): "its depth argument",
+    ("generators.random_formula_over.go",): "the depth argument",
+    ("proof_system._compile",): "the size of an axiom schema",
+    ("proof_system._substitute",): "the size of an axiom schema",
+    ("proof_system._Searcher._introduce", "proof_system._Searcher._invert_mp",
+     "proof_system._Searcher.derive"):
+        "the depth bound k, two frames a unit: RecursionError past about 490",
+    ("syntax._Parser.atomic", "syntax._Parser.binary", "syntax._Parser.formula",
+     "syntax._Parser.just", "syntax._Parser.term", "syntax._Parser.unary"):
+        "room and RecursionError, in _parse",
 }
 
 
-def self_calls(node, prefix):
-    """The qualified name of each function under node whose body calls
-    it: by its name, or as self.name in a method."""
+def functions(node, prefix, scope, cls):
+    """(qualified name, def, names in scope, enclosing class) for each
+    function under node.  scope maps the bare names a body can call to
+    qualified names: the module's functions and those of the enclosing
+    function bodies; cls is the qualified name of the class whose body
+    holds the def, for self.name and cls.name."""
+    defs = [child for child in ast.iter_child_nodes(node)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    if not isinstance(node, ast.ClassDef):
+        scope = {**scope, **{d.name: prefix + d.name for d in defs}}
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from self_calls(child, f"{prefix}{child.name}.")
-        elif isinstance(child, ast.FunctionDef):
-            name = child.name
-            for call in ast.walk(child):
-                if isinstance(call, ast.Call):
-                    f = call.func
-                    if isinstance(f, ast.Name) and f.id == name \
-                            or isinstance(f, ast.Attribute) and f.attr == name \
-                            and isinstance(f.value, ast.Name) and f.value.id == "self":
-                        yield prefix + name
-                        break
-            yield from self_calls(child, f"{prefix}{name}.")
+            yield from functions(child, f"{prefix}{child.name}.", scope,
+                                 f"{prefix}{child.name}.")
+        elif child in defs:
+            name = prefix + child.name
+            yield name, child, scope, cls
+            yield from functions(child, name + ".", scope, None)
+
+
+def own_nodes(fn):
+    """The nodes of a function's body, without those of the functions and
+    classes defined in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def call_graph(tree, module):
+    """For each function of a module, the functions of the module that its
+    body names (a function in scope by name, a method of its class as
+    self.name or cls.name) whether it calls them or passes them on, and
+    those that its callers pass it for a parameter that it calls."""
+    found = list(functions(tree, f"{module}.", {}, None))
+    defs = {name: fn for name, fn, _, _ in found}
+
+    def resolve(node, scope, cls):
+        if isinstance(node, ast.Name) and node.id in scope:
+            return scope[node.id]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("self", "cls") and cls is not None \
+                and cls + node.attr in defs:
+            return cls + node.attr
+        return None
+
+    edges = {name: set() for name in defs}
+    passed = {name: {} for name in defs}  # callee -> parameter -> functions
+    for name, fn, scope, cls in found:
+        for node in own_nodes(fn):
+            target = resolve(node, scope, cls)
+            if target is not None:
+                edges[name].add(target)
+            if isinstance(node, ast.Call):
+                callee = resolve(node.func, scope, cls)
+                if callee is None:
+                    continue
+                params = [a.arg for a in defs[callee].args.args]
+                if params[:1] in (["self"], ["cls"]):
+                    params = params[1:]
+                pairs = list(zip(params, node.args))
+                pairs += [(k.arg, k.value) for k in node.keywords]
+                for param, arg in pairs:
+                    given = resolve(arg, scope, cls)
+                    if given is not None:
+                        passed[callee].setdefault(param, set()).add(given)
+    for name, fn in defs.items():
+        params = {a.arg for a in fn.args.args}
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in params:
+                edges[name] |= passed[name].get(node.func.id, set())
+    return edges
+
+
+def cycles(edges):
+    """The strongly connected components of a graph that hold a cycle, each
+    as a sorted tuple of names."""
+    reach = {}
+    for start in edges:
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in edges[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[start] = seen
+    return {tuple(sorted(other for other in edges
+                         if name in reach[other] and other in reach[name]))
+            for name in edges if name in reach[name]}
 
 
 def test_recursive_functions_are_the_known_ones():
-    found = {name for path in SOURCES
-             for name in self_calls(ast.parse(path.read_text(encoding="utf-8")),
-                                    f"{path.stem}.")}
-    assert found == RECURSIVE
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= cycles(call_graph(tree, path.stem))
+    assert found == set(RECURSIVE)
+
+
+def test_call_graph_finds_mutual_recursion():
+    tree = ast.parse(
+        "def even(n):\n    return n == 0 or odd(n - 1)\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n"
+        "def twice(f, n):\n    return f(f(n))\n"
+        "def walk(n):\n    return twice(step, n)\n"
+        "def step(n):\n    return walk(n - 1) if n else 0\n"
+        "def alone(n):\n    return n\n"
+        "class Tree:\n"
+        "    def up(self):\n        return self.down()\n"
+        "    def down(self):\n        return self.up()\n")
+    assert cycles(call_graph(tree, "m")) == {
+        ("m.even", "m.odd"), ("m.step", "m.twice", "m.walk"),
+        ("m.Tree.down", "m.Tree.up")}

@@ -405,6 +405,108 @@ def test_constant_and_variable_differ():
     assert Constant("x") != Variable("x")
 
 
+# --- the printer against the recursive reference -----------------------------
+
+OP_OF_NODE = {op.node: op for op in syntax._OPERATORS.values()}
+
+
+def reference_show(node, full, level=0):
+    """The recursive printer that the explicit-stack walk replaced: print a
+    node that sits at a precedence level.  A left-grouping operator puts
+    its left operand at its own precedence and its right operand one
+    above, a right-grouping one the reverse.  A binary node at a level
+    above its precedence is parenthesized; with full, every composite
+    node is."""
+    kind = type(node)
+    op = OP_OF_NODE.get(kind)
+    if op is not None:
+        prec = op.prec
+        left, right = (prec + 1, prec) if op.right else (prec, prec + 1)
+        s = (reference_show(node.left, full, left) + op.text
+             + reference_show(node.right, full, right))
+        return f"({s})" if full or level > prec else s
+    if kind is Bang:
+        s = "!" + reference_show(node.inner, full, syntax._PREFIX)
+    elif kind is Just:
+        s = (reference_show(node.term, full, 0) + ":"
+             + reference_show(node.body, full, syntax._PREFIX))
+    elif kind is Falsum:
+        return "_|_"
+    else:
+        return node.name
+    return f"({s})" if full else s
+
+
+@given(formulas, terms, st.booleans())
+def test_printer_agrees_with_reference(a, t, full_first):
+    for full in (full_first, not full_first, full_first):
+        assert print_formula(a, full) == reference_show(a, full)
+        assert print_term(t, full) == reference_show(t, full)
+
+
+@given(formulas, st.randoms(use_true_random=False))
+def test_printer_agrees_with_reference_after_subtrees(a, rng):
+    # a fresh copy whose subformulas (and their terms) are printed first in
+    # a random order and mode, then every one of them in both modes
+    a = parse_formula(print_formula(a))
+    parts = sorted(subformulas(a), key=lambda b: reference_show(b, False))
+    rng.shuffle(parts)
+    for b in parts[:rng.randrange(len(parts) + 1)]:
+        print_formula(b, rng.random() < 0.5)
+    for b in parts:
+        for full in (False, True):
+            assert print_formula(b, full) == reference_show(b, full)
+
+
+def test_kept_form_in_new_contexts():
+    # a node printed alone keeps its minimal form; a parent that puts it
+    # above its precedence parenthesizes the kept form
+    a = Implies(p, q)
+    assert print_formula(a) == "p -> q"
+    assert print_formula(Implies(a, r)) == "(p -> q) -> r"
+    assert print_formula(Just(x, a)) == "x:(p -> q)"
+    assert print_formula(Implies(r, a)) == "r -> p -> q"
+    t = Sum(x, y)
+    assert print_term(t) == "x + y"
+    assert print_formula(Just(t, p)) == "x + y:p"
+    assert print_term(Bang(t)) == "!(x + y)"
+    assert print_term(App(x, t)) == "x.(x + y)"
+    assert print_term(App(t, x)) == "(x + y).x"
+    assert (a._key, t._key) == ("p -> q", "x + y")
+
+
+def test_full_and_minimal_on_one_node():
+    a = Implies(Implies(p, q), r)
+    assert print_formula(a) == "(p -> q) -> r"
+    assert print_formula(a, True) == "((p -> q) -> r)"
+    assert print_formula(a) == "(p -> q) -> r"
+    b = Just(Bang(Sum(x, y)), Implies(Implies(p, q), r))
+    assert print_formula(b, True) == "((!(x + y)):((p -> q) -> r))"
+    assert b._key is None  # the full walk keeps nothing on a node
+    assert print_formula(b) == "!(x + y):((p -> q) -> r)"
+    assert print_formula(b, True) == "((!(x + y)):((p -> q) -> r))"
+
+
+def test_deep_chains_print():
+    a = deep_chain(3000)
+    assert print_formula(a) == " -> ".join(["p"] * 3001)
+    assert print_formula(deep_chain(3000), True) == "(p -> " * 3000 + "p" + ")" * 3000
+    b = p
+    for _ in range(3000):
+        b = And(b, p)
+    assert print_formula(b) == " /\\ ".join(["p"] * 3001)
+    c = p
+    for _ in range(3000):
+        c = And(p, c)
+    assert print_formula(c) == "p /\\ (" * 2999 + "p /\\ p" + ")" * 2999
+    t = x
+    for _ in range(3000):
+        t = Bang(t)
+    assert print_term(t) == "!" * 3000 + "x"
+    chain = deep_chain(900)
+    assert parse_formula(print_formula(chain)) == chain
+
+
 @given(formulas, terms)
 def test_keys_are_printed_forms(a, t):
     for _ in range(2):  # before and after the key is cached
