@@ -14,6 +14,7 @@ import json
 import sys
 
 from jlogic.proof_system import (
+    MAX_DEPTH,
     ConstantSpecification,
     HypothesisNotFound,
     NotAppropriate,
@@ -332,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("universe", help="universe file with base: and goal:")
     p.add_argument("--goal", default=None,
                    help="override the goal from the file")
-    p.add_argument("--depth", type=_int_in(0), default=4)
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=4)
     p.add_argument("--cs", default=None)
 
     p = add("canonical", "build the bounded canonical model of a universe")
     p.add_argument("universe")
     p.add_argument("--out", default="-")
-    p.add_argument("--depth", type=_int_in(0), default=4)
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=4)
     p.add_argument("--cap", type=_int_in(0), default=14)
     p.add_argument("--cs", default=None)
 

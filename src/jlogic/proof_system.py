@@ -731,6 +731,13 @@ def _combine_mp(major: Proof, minor: Proof) -> Proof:
     return Proof(major.hypotheses, tuple(steps))
 
 
+# The largest depth bound of bounded_derive.  The search recurses two
+# frames per unit of depth (derive, then _introduce or _invert_mp), so
+# 2 * MAX_DEPTH frames and the callers' must fit under the interpreter's
+# recursion limit (tests/test_layers.py checks it).
+MAX_DEPTH = 200
+
+
 class _Searcher:
     """Backward goal-directed search, memoized, deterministic.
 
@@ -826,10 +833,13 @@ def bounded_derive(
     Derivable carries a checking proof whose hypothesis list is hyps in
     the given order.  UnknownAtBound means the search discipline found no
     proof within the bound; it is not a non-derivability certificate.
-    The result is monotone in k.
+    The result is monotone in k.  Raises ValueError for a k below 0 or
+    above MAX_DEPTH.
     """
     if k < 0:
         raise ValueError("bound must be nonnegative")
+    if k > MAX_DEPTH:
+        raise ValueError(f"bound must be at most {MAX_DEPTH}")
     hyp_tuple = tuple(hyps)
     # The pool order decides which proof is found and, since memoized
     # proofs ignore depth, which sequents succeed at a given bound.

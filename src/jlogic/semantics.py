@@ -26,7 +26,8 @@ A model has one frame, built by its constructor: the world positions,
 the order as _Below tables both ways (below for implications, upclose
 for the closure), the mask of every world and the atoms' masks.  The
 closure, the truth masks and validation all read it.  Countermodel
-search gets the same tables once per canonical poset instead.
+search gets the same tables once per canonical poset instead, with
+packed ones that judge a block of valuations at once (see _Lanes).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from jlogic.proof_system import ConstantSpecification
 from jlogic.syntax import (
@@ -161,6 +163,33 @@ class BasicEvaluation:
         self._rows: list = []
         self._index: dict[Formula, int] = {}
         self._values: list[int] = []
+
+    @classmethod
+    def _found(cls, worlds, order, below, upclose, atom_masks, base_evidence,
+               term_universe, formula_universe, cs, rows, index):
+        """A model that countermodel search built, from inputs that hold
+        what the constructor would make of them: a reflexive order with
+        its below and upclose tables, the atoms as {name: mask}, the base
+        as {world: {term: frozenset}} for every world, and universes that
+        are closed and hold every term of the base and of the t:B
+        formulas.  rows and index are the search's compiled rows of the
+        formula universe, run on the first query."""
+        m = cls.__new__(cls)
+        m.worlds = worlds
+        m._position = {w: i for i, w in enumerate(worlds)}
+        m.order = order
+        m._below, m._upclose = below, upclose
+        m._full = (1 << len(worlds)) - 1
+        m._atom_masks = atom_masks
+        m.atoms = {w: frozenset(p for p, mask in atom_masks.items() if mask >> i & 1)
+                   for i, w in enumerate(worlds)}
+        m.base_evidence = base_evidence
+        m.term_universe = term_universe
+        m.formula_universe = formula_universe
+        m.cs = cs
+        m._closure = None
+        m._rows, m._index, m._values = rows, index, []
+        return m
 
     def closure(self) -> dict[Term, dict[Formula, int]]:
         """The derived evidence of every term of the universe as {A: mask},
@@ -484,24 +513,94 @@ class Countermodel:
     world: str
 
 
-_POSET_CACHE: dict[int, list[tuple]] = {}
+# The most valuations that countermodel search judges at once: a block of
+# them packs one lane of n bits per valuation into every row's mask, so a
+# row never holds more than _BLOCK * n bits, whatever the atom count.
+_BLOCK = 4096
 
 
-def _canonical_posets(n: int) -> list[tuple]:
+def _repeat(width: int, count: int) -> int:
+    """Bit 0 of each of count fields of width bits."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+class _LaneBelow:
+    """below[x] for an x packed in lanes of n bits: in every lane, the
+    mask of the worlds that see some world of that lane's part of x.
+    Each world sees itself, and for a strict pair (i, j) of the order,
+    where i < j in a canonical labelling (see _canonical_posets), bit j
+    of every lane moves down to bit i; all the pairs at one distance
+    j - i move with one mask-and-shift."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, up, rep: int):
+        by_distance: dict[int, int] = {}
+        for i, above in enumerate(up):
+            for j in range(i + 1, len(up)):
+                if above >> j & 1:
+                    by_distance[j - i] = by_distance.get(j - i, 0) | rep << j
+        self.shifts = tuple(by_distance.items())
+
+    def __getitem__(self, x: int) -> int:
+        out = x
+        for distance, mask in self.shifts:
+            out |= (x & mask) >> distance
+        return out
+
+
+class _Lanes(NamedTuple):
+    """A poset's tables for judging a block of valuations at once, where
+    the last `inner` atoms vary and the earlier ones are fixed: the v-th
+    valuation of the block, in the order of itertools.product, lives in
+    bits n*v .. n*v+n-1 of every mask, its lane.  rep has bit 0 of every
+    lane, so mask * rep puts a world mask in every lane; full is every
+    world in every lane; below is a _LaneBelow; atoms are the packed
+    masks of the inner atoms, the first atom first."""
+
+    rep: int
+    full: int
+    below: _LaneBelow
+    atoms: tuple[int, ...]
+
+
+class _Poset(NamedTuple):
+    """A canonical poset on n worlds (see _canonical_posets) with its
+    tables: up[i] is the mask of world i and the worlds above it; upsets
+    are the up-closed masks in increasing order, minima their minimal
+    worlds, and costs how many minimal worlds each has.  below is a list:
+    below[mask] is the mask of the worlds that see some world in mask,
+    for implications (see _run); upclose is the _Below table of the
+    transposed order, for the closure (see _close).  lanes holds the
+    _Lanes of each inner atom count, built on first use (see _lanes)."""
+
+    up: tuple[int, ...]
+    upsets: tuple[int, ...]
+    minima: tuple[tuple[int, ...], ...]
+    costs: tuple[int, ...]
+    below: list[int]
+    upclose: _Below
+    lanes: dict[int, _Lanes]
+
+
+_POSET_CACHE: dict[int, list[_Poset]] = {}
+
+
+def _canonical_posets(n: int) -> list[_Poset]:
     """All partial orders on n worlds up to isomorphism, each in its
-    canonical labelling, sorted by canonical code, as entries (up, upsets,
-    minima, costs, below, upclose).  up[i] is the mask of world i and the
-    worlds above it; upsets are the up-closed masks in increasing order,
-    minima their minimal worlds, and costs how many minimal worlds each
-    has.  below is a list: below[mask] is the mask of the worlds that see
-    some world in mask, for implications (see _run); upclose is the
-    _Below table of the transposed order, for the closure (see _close).
+    canonical labelling, sorted by canonical code, as _Poset entries.
     The tables are built once per process, with the posets.
 
     Built from world n-1 down, up[i] is 1 << i or'ed with the up[j] of
     some worlds j > i: such an order is transitive and antisymmetric by
     construction, and every poset has one (a linear extension).  The
-    canonical code is the least sum of up[i] << (i * n) over relabellings."""
+    canonical code is the least sum of up[i] << (i * n) over relabellings.
+    It is a linear extension too: take the highest i whose up[i] has a
+    bit j < i; the worlds with labels above i see only labels at or above
+    their own, so neither label i nor j.  Swapping labels i and j leaves their up[]
+    alone and makes up[i] that of the world that had label j, which is
+    above the other: a subset of the old up[i] without bit j, so a
+    smaller code."""
     if n in _POSET_CACHE:
         return _POSET_CACHE[n]
     orders = {()}  # up[i + 1:] for the worlds built so far
@@ -530,9 +629,39 @@ def _canonical_posets(n: int) -> list[tuple]:
         below = [0]  # grown one world i at a time: the masks below 2 ** (i + 1)
         for seeing_i in seeing:
             below += [b | seeing_i for b in below]
-        out.append((up, upsets, minima, tuple(map(len, minima)), below, _Below(seeing)))
+        out.append(_Poset(up, upsets, minima, tuple(map(len, minima)), below,
+                          _Below(seeing), {}))
     _POSET_CACHE[n] = out
     return out
+
+
+def _lanes(poset: _Poset, inner: int) -> _Lanes:
+    """The poset's _Lanes for blocks where the last inner atoms vary,
+    built on first use.  The atom that varies fastest takes the upsets
+    in turn, one lane each; the one before it holds each upset for
+    len(upsets) lanes, and so on."""
+    lanes = poset.lanes.get(inner)
+    if lanes is None:
+        n, count = len(poset.up), len(poset.upsets)
+        size = count ** inner
+        rep = _repeat(n, size)
+        atoms = []
+        for d in reversed(range(inner)):
+            run = count ** d  # the lanes that one upset holds in a row
+            period = sum(s * _repeat(n, run) << n * run * k
+                         for k, s in enumerate(poset.upsets))
+            atoms.append(period * _repeat(n * run * count, size // (run * count)))
+        lanes = poset.lanes[inner] = _Lanes(
+            rep, ((1 << n) - 1) * rep, _LaneBelow(poset.up, rep), tuple(atoms))
+    return lanes
+
+
+def _hit_lanes(x: int, n: int, rep: int) -> int:
+    """Bit 0 of each lane of n bits in which x has some bit."""
+    out = x
+    for shift in range(1, n):
+        out |= x >> shift
+    return out & rep
 
 
 def _seed_assignments(costs, k: int, budget: int):
@@ -567,17 +696,37 @@ def find_countermodel(
     canonical code; atom valuations over upsets, lexicographically in
     atom order; evidence seed assignments innermost.  Seeds range over
     the Just-subformulas of a, each placed at the minimal worlds of an
-    upset, with the total seed count capped by evidence_budget.
+    upset, with the total seed count capped by evidence_budget.  The
+    first candidate in that order that refutes a is returned.
 
     Candidates are judged on the goal's subformulas, compiled once per
-    search into rows (see _compile) and run over masks of worlds, with
-    the poset's below table for implications (see _canonical_posets).
-    What a row's mask depends on decides when it runs.  The t:B masks
-    and the factivity needs (where each evidenced subformula must hold)
-    depend only on the closure of the seed assignment: they are computed
-    when the first valuation of a poset meets the assignment and reused
-    by the later ones.  The rows below no t:B run once per valuation, and
-    only the rows above some t:B once per candidate.
+    search into rows (see _compile) and run over masks of worlds.  The
+    valuations of a poset are judged a block at a time, in lanes (see
+    _Lanes): the last atoms, as many as keep a block within _BLOCK
+    valuations, vary inside a block, one valuation per lane of n bits,
+    and the earlier atoms stay fixed and drive the loop over blocks in
+    the order of itertools.product.  The rows run unchanged on the
+    packed masks: & and | act lane by lane, and the packed below table
+    applies the order to every lane at once.  What a row's mask depends
+    on decides when it runs.  The t:B masks and the factivity needs
+    (where each evidenced subformula must hold) depend only on the
+    closure of the seed assignment: they are computed when the first
+    block of a poset meets the assignment, reused by the later blocks,
+    and put in every lane with * rep.  The rows below no t:B run once
+    per block, and only the rows above some t:B once per closure and
+    block.
+
+    A closure passes at the lanes where a fails at some world and no
+    need is violated.  Within a block the candidates in enumeration
+    order are the (valuation, closure) pairs by valuation first, so the
+    first candidate is the pass in the lowest lane, from the earliest
+    closure that passes there: the block's closures are all judged,
+    keeping the lowest lane so far, unless one passes in lane 0, which
+    no later closure can better.  The first block's closures are built
+    as they are judged, so a pass at the first valuation builds no
+    closure after it.  Blocks run in order, so the first block with a
+    pass holds the first countermodel: the same one that judging the
+    candidates one at a time finds.
 
     The closure (see _close) starts from base masks that are the upsets
     themselves: the up-closure of an upset's minimal worlds is the
@@ -585,9 +734,9 @@ def find_countermodel(
     and the model returned gets its base as seeds at those worlds.  The
     closure's upclose table comes with the poset too.  A seed assignment
     whose t:B masks and needs equal an earlier one's is skipped: its
-    candidates are judged as the earlier one's, which have already been
-    tried at the current valuation and will be tried before it at every
-    later one, so skipping it never changes which countermodel is first.
+    candidates are judged as the earlier one's, which come before it at
+    every valuation, so skipping it never changes which countermodel is
+    first.
 
     The order laws, M1, M2 and conditions (1)-(4) hold by construction
     (canonical posets, upset valuations, _close).  An evidenced formula
@@ -638,22 +787,30 @@ def find_countermodel(
 
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        full = (1 << n) - 1
-        for up, upsets, minima, costs, below, upclose in _canonical_posets(n):
+        world_full = (1 << n) - 1
+        for poset in _canonical_posets(n):
+            upsets = poset.upsets
+            inner = 0
+            while inner < len(atom_names) and len(upsets) ** (inner + 1) <= _BLOCK:
+                inner += 1
+            rep, full, below, inner_masks = _lanes(poset, inner)
+            outer_names = atom_names[:len(atom_names) - inner]
+            inner_names = atom_names[len(outer_names):]
+            atoms = dict(zip(inner_names, inner_masks))
             closures = []
             judged = set()
 
             def seeded():
                 """For each seed assignment: the assignment, and the t:B
                 masks and factivity needs (row, mask) of its closure, built
-                on the first valuation pass and kept in closures for the
-                later ones."""
-                for combo in _seed_assignments(costs, len(pool), evidence_budget):
+                on the first block and kept in closures for the later
+                ones."""
+                for combo in _seed_assignments(poset.costs, len(pool), evidence_budget):
                     base: dict[Term, dict[Formula, int]] = {}
                     for (t, b), s in zip(pool, combo):
                         if upsets[s]:
                             base.setdefault(t, {})[b] = upsets[s]
-                    derived = _close(upclose, base, t_order, f_universe, cs)
+                    derived = _close(poset.upclose, base, t_order, f_universe, cs)
                     # factivity: each formula must hold wherever it is evidenced
                     evidenced: dict[Formula, int] = {}
                     for per_term in derived.values():
@@ -670,45 +827,65 @@ def find_countermodel(
                     yield combo, masks, needs
 
             values = [0] * len(rows)
-            valuations = itertools.product(upsets, repeat=len(atom_names))
-            for k, valuation in enumerate(valuations):
-                atoms = dict(zip(atom_names, valuation))
+            outers = itertools.product(upsets, repeat=len(outer_names))
+            for block, outer in enumerate(outers):
+                for p, s in zip(outer_names, outer):
+                    atoms[p] = s * rep
                 _run(free, values, atoms, full, below, None)
-                for combo, masks, needs in closures if k else seeded():
+                first = None  # (lowest passing bit, its closure, refuted worlds)
+                lower = -1  # the bits of the lanes below the lowest pass
+                for combo, masks, needs in closures if block else seeded():
                     if masks:
                         for i, mask in masks:
-                            values[i] = mask
+                            values[i] = mask * rep
                         _run(above_just, values, atoms, full, below, None)
                     refuted = full & ~values[goal]
-                    if not refuted or any(need & ~values[row] for row, need in needs):
+                    passed = _hit_lanes(refuted, n, rep) & lower
+                    if not passed:
                         continue
-                    base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
-                    for (t, b), s in zip(pool, combo):
-                        for i in minima[s]:
-                            base[names[i]].setdefault(t, set()).add(b)
-                    m = BasicEvaluation(
-                        names,
-                        frozenset((names[i], names[j]) for i in range(n)
-                                  for j in range(n) if up[i] >> j & 1),
-                        {
-                            names[i]: frozenset(
-                                p for p, s in atoms.items() if s >> i & 1
-                            )
-                            for i in range(n)
-                        },
-                        base_evidence=base,
-                        term_universe=t_universe,
-                        formula_universe=f_universe,
-                        cs=cs,
+                    violated = 0
+                    for row, need in needs:
+                        violated |= need * rep & ~values[row]
+                    if violated:
+                        passed &= ~_hit_lanes(violated, n, rep)
+                    if passed:
+                        low = (passed & -passed).bit_length() - 1
+                        first = (low, combo, refuted >> low & world_full)
+                        if not low:
+                            break
+                        lower = (1 << low) - 1
+                if first is None:
+                    continue
+                low, combo, refuted = first
+                atom_masks = dict(zip(outer_names, outer))
+                for p, mask in zip(inner_names, inner_masks):
+                    atom_masks[p] = mask >> low & world_full
+                base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
+                for (t, b), s in zip(pool, combo):
+                    for i in poset.minima[s]:
+                        base[names[i]].setdefault(t, set()).add(b)
+                m = BasicEvaluation._found(
+                    names,
+                    frozenset((names[i], names[j]) for i in range(n)
+                              for j in range(n) if poset.up[i] >> j & 1),
+                    poset.below,
+                    poset.upclose,
+                    atom_masks,
+                    {w: {t: frozenset(fs) for t, fs in per_term.items()}
+                     for w, per_term in base.items()},
+                    t_universe,
+                    f_universe,
+                    cs,
+                    rows,
+                    index,
+                )
+                verdict = validate_model(m)
+                if not verdict.ok:
+                    raise AssertionError(
+                        f"countermodel search built an invalid model: {verdict}"
                     )
-                    m._rows, m._index = rows, index  # run on the first query
-                    verdict = validate_model(m)
-                    if not verdict.ok:
-                        raise AssertionError(
-                            f"countermodel search built an invalid model: {verdict}"
-                        )
-                    world = names[(refuted & -refuted).bit_length() - 1]
-                    return Countermodel(m, world)
+                world = names[(refuted & -refuted).bit_length() - 1]
+                return Countermodel(m, world)
     return None
 
 

@@ -14,7 +14,7 @@ import pytest
 import jlogic
 from jlogic import cli
 from jlogic.cli import main
-from jlogic.proof_system import parse_proof
+from jlogic.proof_system import MAX_DEPTH, parse_proof
 from jlogic.syntax import _Table, parse_formula, print_formula
 
 PROOF = """hypotheses:
@@ -329,6 +329,8 @@ def test_countermodel_none_found(capsys):
     ("saturate", "UNIVERSE:sat-evidence.txt", "--depth", "-1"),
     ("canonical", "UNIVERSE:canon-atom.txt", "--depth", "-1"),
     ("canonical", "UNIVERSE:canon-atom.txt", "--cap", "-1"),
+    ("saturate", "UNIVERSE:sat-peirce.txt", "--depth", str(MAX_DEPTH + 1)),
+    ("canonical", "UNIVERSE:canon-atom.txt", "--depth", str(MAX_DEPTH + 1)),
 ])
 def test_out_of_range_bounds_exit_2(capsys, argv):
     argv = [

@@ -229,14 +229,14 @@ def test_poset_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_upsets_and_minima_match_definitions(n):
-    for up, upsets, minima, costs, below, upclose in semantics._canonical_posets(n):
-        rel = relation(n, up)
+    for poset in semantics._canonical_posets(n):
+        rel = relation(n, poset.up)
         closed = [
             s for s in range(1 << n)
             if all(s >> j & 1 for (i, j) in rel if s >> i & 1)
         ]
-        assert list(upsets) == closed
-        for s, low, cost in zip(upsets, minima, costs):
+        assert list(poset.upsets) == closed
+        for s, low, cost in zip(poset.upsets, poset.minima, poset.costs):
             members = [i for i in range(n) if s >> i & 1]
             assert list(low) == [
                 i for i in members
@@ -249,7 +249,43 @@ def test_upsets_and_minima_match_definitions(n):
                          if any((i, j) in rel for j in members))
             seen = sum(1 << i for i in range(n)
                        if any((j, i) in rel for j in members))
-            assert (below[mask], upclose[mask]) == (seeing, seen), mask
+            assert (poset.below[mask], poset.upclose[mask]) == (seeing, seen), mask
+
+
+def block_atoms(poset, atom_count):
+    """How many atoms vary inside a block of the poset's valuations."""
+    inner = 0
+    while inner < atom_count and len(poset.upsets) ** (inner + 1) <= semantics._BLOCK:
+        inner += 1
+    return inner
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_below_matches_below_lane_by_lane(n):
+    rng = random.Random(n)
+    for poset in semantics._canonical_posets(n):
+        inner = block_atoms(poset, 3)
+        lanes = semantics._lanes(poset, inner)
+        count = len(poset.upsets) ** inner
+        for _ in range(5):
+            masks = [rng.randrange(1 << n) for _ in range(count)]
+            packed = lanes.below[sum(m << (n * v) for v, m in enumerate(masks))]
+            assert [packed >> (n * v) & (1 << n) - 1 for v in range(count)] \
+                == [poset.below[m] for m in masks]
+            assert packed < 1 << n * count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_atoms_decode_to_product_order(n):
+    for poset in semantics._canonical_posets(n):
+        for inner in sorted({0, 1, block_atoms(poset, 12)}):
+            lanes = semantics._lanes(poset, inner)
+            valuations = list(itertools.product(poset.upsets, repeat=inner))
+            assert lanes.rep == sum(1 << (n * v) for v in range(len(valuations)))
+            assert lanes.full == lanes.rep * ((1 << n) - 1)
+            decoded = [tuple(mask >> (n * v) & (1 << n) - 1 for mask in lanes.atoms)
+                       for v in range(len(valuations))]
+            assert decoded == valuations
 
 
 @pytest.mark.parametrize("costs", [(0,), (0, 1), (0, 1, 2, 1), (1, 2, 1, 0, 3)])
@@ -386,14 +422,16 @@ def reference_search(a, max_worlds, evidence_budget, cs=CS):
     t_order = sorted(t_universe, key=term_size)
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        for up, upsets, minima, costs, _, _ in semantics._canonical_posets(n):
+        for poset in semantics._canonical_posets(n):
+            up = poset.up
             order = frozenset((names[i], names[j])
                               for i in range(n) for j in range(n) if up[i] >> j & 1)
             closures = []
-            for combo in semantics._seed_assignments(costs, len(pool), evidence_budget):
+            for combo in semantics._seed_assignments(poset.costs, len(pool),
+                                                     evidence_budget):
                 base = {w: {} for w in names}
                 for (t, b), s in zip(pool, combo):
-                    for i in minima[s]:
+                    for i in poset.minima[s]:
                         base[names[i]].setdefault(t, set()).add(b)
                 derived = reference_close(names, order, base, t_order, f_universe, cs)
                 evidenced = {}
@@ -402,7 +440,7 @@ def reference_search(a, max_worlds, evidence_budget, cs=CS):
                         for f in per_world[w]:
                             evidenced[f] = evidenced.get(f, 0) | 1 << i
                 closures.append((base, derived, evidenced))
-            for valuation in itertools.product(upsets, repeat=len(atom_names)):
+            for valuation in itertools.product(poset.upsets, repeat=len(atom_names)):
                 atoms = dict(zip(atom_names, valuation))
                 for base, derived, evidenced in closures:
                     truth_set = reference_evaluator(names, up, atoms, derived)
@@ -506,3 +544,76 @@ def test_first_countermodels_pinned():
         text = "none\n" if found is None else found.world + "\n" + print_model(found.model)
         digest.update(text.encode())
     assert digest.hexdigest() == FIRST_COUNTERMODELS_SHA256
+
+
+# Goals whose valuations fill more than one block, each with where its
+# first countermodel lies, (worlds, poset position, block, lane, seeded)
+# with seeded when its seed assignment is not the first (no seeds), and
+# whether reference_search is quick enough to run on it.  The digest is
+# of the countermodels that the search judging one candidate at a time
+# found.
+BLOCK_GOALS = [
+    ("x:p -> q \\/ r \\/ p1 \\/ p2", 3, (1, 0, 0, 16, True), True),
+    ("x:p0 -> (p1 -> p2) \\/ (p2 -> p1) \\/ p3 \\/ p4", 3, (3, 2, 0, 2675, True), False),
+    ("p0 /\\ p1 /\\ p2 /\\ p3 /\\ p4 -> p0", 3, None, True),
+    ("p0 -> p1 \\/ (p1 -> _|_) \\/ p2 \\/ p3 \\/ p4 \\/ p5 \\/ p6 \\/ p7", 2,
+     (2, 1, 2, 729, False), True),
+    ("p1 /\\ p9 -> p0 \\/ p10 \\/ p11 \\/ p12 \\/ p13 \\/ p2 \\/ p3 \\/ p4 \\/ p5 \\/ p6"
+     " \\/ p7 \\/ p8", 1, (1, 0, 1, 1, False), True),
+    ("p0 -> (p1 -> p2) \\/ (p2 -> p1) \\/ p3 \\/ p4 \\/ p5", 3, (3, 2, 4, 875, False), False),
+    ("(p -> q) -> (q -> r) -> p -> r", 5, None, False),
+    # bounded width 3: refuted first on one world below four
+    ("(p0 -> p1 \\/ p2 \\/ p3) \\/ (p1 -> p0 \\/ p2 \\/ p3) \\/ (p2 -> p0 \\/ p1 \\/ p3)"
+     " \\/ (p3 -> p0 \\/ p1 \\/ p2)", 5, (5, 4, 19, 76, False), False),
+]
+BLOCK_GOALS_SHA256 = "aae031956c48d199427d8f8bfdff1561e2b0140d1097044cfac42a1622227676"
+
+
+def place(a, found):
+    """(worlds, poset position, block, lane, seeded) of a countermodel."""
+    m = found.model
+    n = len(m.worlds)
+    up = tuple(sum(1 << j for j in range(n) if (m.worlds[i], m.worlds[j]) in m.order)
+               for i in range(n))
+    posets = semantics._canonical_posets(n)
+    position = [poset.up for poset in posets].index(up)
+    poset = posets[position]
+    names = sorted({f.name for f in subformulas(a) if isinstance(f, Atom)})
+    valuation = 0
+    for name in names:
+        mask = sum(1 << i for i, w in enumerate(m.worlds) if name in m.atoms[w])
+        valuation = valuation * len(poset.upsets) + poset.upsets.index(mask)
+    size = len(poset.upsets) ** block_atoms(poset, len(names))
+    seeded = any(m.base_evidence[w] for w in m.worlds)
+    return n, position, valuation // size, valuation % size, seeded
+
+
+def test_block_boundaries_keep_the_first_countermodel():
+    digest = hashlib.sha256()
+    for src, n, where, quick in BLOCK_GOALS:
+        a = parse_formula(src)
+        found = find_countermodel(a, n)
+        assert (found and place(a, found)) == where, src
+        text = "none\n" if found is None else found.world + "\n" + print_model(found.model)
+        digest.update(text.encode())
+        if quick:
+            want = reference_search(a, n, 6)
+            assert text == ("none\n" if want is None
+                            else want[1] + "\n" + print_model(want[0])), src
+    assert digest.hexdigest() == BLOCK_GOALS_SHA256
+
+
+def test_many_atoms_refuted_at_one_world_return_at_once(monkeypatch):
+    # valuation 0 of the one-world poset refutes the goal: one block runs
+    runs = []
+    real = semantics._run
+
+    def counting(rows, *args):
+        runs.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(semantics, "_run", counting)
+    goal = parse_formula(" \\/ ".join(f"p{i}" for i in range(14)))
+    found = find_countermodel(goal, 5)
+    assert found is not None and found.model.worlds == ("w0",)
+    assert len(runs) == 1

@@ -4,9 +4,11 @@ And the inventory of the recursion in the package: the cycles of each
 module's call graph, each with what bounds its depth."""
 
 import ast
+import sys
 from pathlib import Path
 
 import jlogic
+from jlogic.proof_system import MAX_DEPTH
 
 SOURCES = sorted(Path(jlogic.__file__).parent.glob("*.py"))
 
@@ -49,11 +51,16 @@ RECURSIVE = {
     ("proof_system._substitute",): "the size of an axiom schema",
     ("proof_system._Searcher._introduce", "proof_system._Searcher._invert_mp",
      "proof_system._Searcher.derive"):
-        "the depth bound k, two frames a unit: RecursionError past about 490",
+        "the depth bound k, at most MAX_DEPTH, two frames a unit",
     ("syntax._Parser.atomic", "syntax._Parser.binary", "syntax._Parser.formula",
      "syntax._Parser.just", "syntax._Parser.term", "syntax._Parser.unary"):
         "room and RecursionError, in _parse",
 }
+
+
+def test_depth_bound_fits_the_recursion_limit():
+    # two frames per unit of depth, and room for the callers' frames
+    assert 2 * MAX_DEPTH + 300 < sys.getrecursionlimit()
 
 
 def functions(node, prefix, scope, cls):

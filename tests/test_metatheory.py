@@ -14,6 +14,7 @@ from jlogic.generators import (
 )
 from jlogic.proof_system import (
     AXIOM_TAGS,
+    MAX_DEPTH,
     AxiomNecessitation,
     AxiomRule,
     ConstantSpecification,
@@ -233,6 +234,14 @@ def test_bounded_derive_application():
     assert isinstance(result, Derivable)
     assert check_proof(result.proof, CS).ok
     assert result.proof.conclusion == F("x.y:q")
+
+
+def test_bounded_derive_depth_ceiling():
+    # p -> q is no theorem, and its search descends the whole bound
+    goal = Implies(p, q)
+    assert bounded_derive(frozenset(), goal, CS, MAX_DEPTH) == UnknownAtBound(MAX_DEPTH)
+    with pytest.raises(ValueError):
+        bounded_derive(frozenset(), goal, CS, MAX_DEPTH + 1)
 
 
 def test_bounded_derive_monotone_in_bound():
