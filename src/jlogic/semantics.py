@@ -74,16 +74,23 @@ class UniverseNotClosed(Exception):
 
 
 def transitive_reflexive_closure(worlds, pairs) -> frozenset[tuple[str, str]]:
-    """Close an order relation under reflexivity and transitivity."""
-    worlds = tuple(worlds)
-    rel = {(w, w) for w in worlds} | set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
+    """Close an order relation under reflexivity and transitivity: each
+    world sees itself and every world that a walk along pairs reaches from
+    it, the walk kept as masks of the worlds seen and still to visit."""
+    worlds, pairs = tuple(worlds), tuple(pairs)
+    names = tuple(dict.fromkeys(worlds + tuple(itertools.chain.from_iterable(pairs))))
+    index = {w: i for i, w in enumerate(names)}
+    succ = [0] * len(names)
+    for a, b in pairs:
+        succ[index[a]] |= 1 << index[b]
+    rel = {(w, w) for w in worlds}
+    for a, todo in zip(names, succ):
+        seen = 0
+        while todo:
+            low = todo & -todo
+            seen |= low
+            todo = (todo | succ[low.bit_length() - 1]) & ~seen
+        rel.update((a, b) for i, b in enumerate(names) if seen >> i & 1)
     return frozenset(rel)
 
 
@@ -476,12 +483,19 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     for w in m.worlds:
         if (w, w) not in rel:
             out.append(Violation("order-reflexivity", (w,), f"{w} <= {w} missing"))
+    names = sorted(m.worlds)  # sees[w]: the worlds w sees, a mask in name order
+    rank = {w: i for i, w in enumerate(names)}
+    sees = dict.fromkeys(names, 0)
+    for a, b in rel:
+        sees[a] |= 1 << rank[b]
     pairs = sorted(rel)
     for (a, b) in pairs:
-        for (c, d) in pairs:
-            if b == c and (a, d) not in rel:
-                out.append(Violation("order-transitivity", (a, b, d),
-                                     f"{a} <= {b} <= {d} but not {a} <= {d}"))
+        missing = sees[b] & ~sees[a]  # each d with b <= d but not a <= d
+        while missing:
+            d = names[(missing & -missing).bit_length() - 1]
+            out.append(Violation("order-transitivity", (a, b, d),
+                                 f"{a} <= {b} <= {d} but not {a} <= {d}"))
+            missing &= missing - 1
         if a != b and (b, a) in rel and a < b:
             out.append(Violation("order-antisymmetry", (a, b),
                                  f"{a} <= {b} and {b} <= {a}"))
@@ -971,12 +985,13 @@ def parse_model(
             if worlds is not None:
                 raise FileFormatError("duplicate worlds section", lineno)
             worlds = tuple(line.split())
+            known = frozenset(worlds)
             if not worlds:
                 raise FileFormatError("empty worlds list", lineno)
             for w in worlds:
                 if _BAD_WORLD.search(w):
                     raise FileFormatError(f"bad world {w!r}", lineno)
-            if len(set(worlds)) != len(worlds):
+            if len(known) != len(worlds):
                 repeated = next(w for i, w in enumerate(worlds) if w in worlds[:i])
                 raise FileFormatError(f"duplicate world {repeated!r}", lineno)
             continue
@@ -987,13 +1002,13 @@ def parse_model(
             if len(parts) != 2:
                 raise FileFormatError("expected 'w <= v'", lineno)
             a, b = parts[0].strip(), parts[1].strip()
-            if a not in worlds or b not in worlds:
+            if a not in known or b not in known:
                 raise FileFormatError(f"unknown world in '{line}'", lineno)
             pairs.append((a, b))
         elif section == "atoms":
             w, _, names = line.partition(":")
             w = w.strip()
-            if w not in worlds:
+            if w not in known:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
             names = names.split()
             for name in names:
@@ -1006,7 +1021,7 @@ def parse_model(
             if len(parts) != 3:
                 raise FileFormatError("expected 'w | term | formulas'", lineno)
             w, ttext, ftext = parts
-            if w not in worlds:
+            if w not in known:
                 raise FileFormatError(f"unknown world {w!r}", lineno)
             t = table.at(lineno, parse_term, ttext)
             fs = table.items(lineno, parse_formula, ftext)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -482,8 +481,8 @@ def _word_kind(text: str) -> str:
 
 def _tokenize(src: str, known: _Kinds | None = None) -> tuple[list[str], list[str]]:
     """The token texts of src and, in a parallel list, their kinds; the
-    last is EOF.  known, a file reader's _Kinds, looks each text up
-    once per file."""
+    last is EOF.  known, a parse table's _Kinds, looks each text up
+    once per table."""
     texts = _TOKEN_RE.findall(src)
     if known is not None:
         return texts, list(map(known.__getitem__, texts))
@@ -535,49 +534,39 @@ class _Fail(Exception):
 # of the right operand of every "->".  A group, line or operand met again
 # comes back as the same node, and the parser jumps past it.  "->" is the
 # only operator that groups to the right and the lowest of its sort, so
-# its right operand runs to the ")" or EOF that ends its group or line:
-# the parser keeps that token as end (lookup finds a group's ")" when
-# atomic enters it), and stores an operand only when its parse stopped
-# there.  The consequent B of an mp major A -> B prints without
-# parentheses, so this is what gives the major the very node of the step
-# B, and check_proof's modus-ponens test meets identical nodes.  The
-# separator keeps "(a b)" from meeting "(ab)".  A text that parses as a
-# term contains no atom and no _|_, so it never parses as a formula: one
-# table serves both sorts, and a hit counts only when its node has the
-# sort wanted there.  What a text parses to depends on its tokens and the
-# constants alone, and a table keeps one set of constants.
+# its right operand runs to the ")" or EOF that ends its group or line,
+# and it is stored only when the parse stopped there.  The consequent B of
+# an mp major A -> B prints without parentheses, so this is what gives
+# the major the very node of the step B, and check_proof's modus-ponens
+# test meets identical nodes.  The separator keeps "(a b)" from meeting
+# "(ab)".  A text that parses as a term contains no atom and no _|_, so
+# it never parses as a formula: one table serves both sorts, and a hit
+# counts only when its node has the sort wanted there.  What a text parses
+# to depends on its tokens and the constants alone, and a table keeps one
+# set of constants.
 #
-# A hit skips the recursion the group would have cost, so a line long
-# enough to reach the recursion limit is parsed without the table, and
-# its nesting limit stays that of the line parsed alone.  The parser goes
-# at most _FRAMES_PER_TOKEN frames deeper per token (a "(" that opens a
-# formula costs atomic, formula, binary and just); _FRAMES_SPARE covers
-# the frames from the reader down to the parser's first token.  unary and
-# atomic handle their groups inline, and binary the right operands of
-# "->", so a table adds no frame per level.
+# The keys of a line may take at most share tokens per token of the line,
+# the first keys met first, so that keying stays linear in the line
+# whatever its nesting (a line of nested groups would otherwise key texts
+# quadratic in its length).  A file reader's table has share _KEY_SHARE;
+# a standalone parse makes a table of share 0, which keys names and atoms
+# alone.
 
-_FRAMES_PER_TOKEN = 4
-_FRAMES_SPARE = 32
-_DEPTH = {"LPAR": 1, "RPAR": -1}  # how each kind moves the parenthesis depth
+_KEY_SHARE = 8
 
 
 class _Table(dict):
     """The nodes that one file reader's lines have parsed to, by token
-    text, for the constants the reader declares.  kinds are the kinds of
-    the texts the reader has met, and room is how many more frames the
-    reader's stack may take."""
+    text, for the constants the reader declares; kinds are the kinds of
+    the texts the reader has met, and share is how many tokens the keys
+    of a line may take per token of the line."""
 
-    __slots__ = ("constants", "kinds", "room")
+    __slots__ = ("constants", "kinds", "share")
 
-    def __init__(self, constants: frozenset[str]):
+    def __init__(self, constants: frozenset[str], share: int = _KEY_SHARE):
         self.constants = constants
         self.kinds = _Kinds(_KINDS)
-        depth = 0
-        frame = sys._getframe(1)
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
-        self.room = sys.getrecursionlimit() - depth - _FRAMES_SPARE
+        self.share = share
 
     def at(self, lineno: int, parse, text: str, prefix: str = ""):
         """parse(text) with this table and its constants, a ParseError
@@ -629,238 +618,224 @@ def _sections(text: str, heads, inline, missing: str):
 
 
 # ---------------------------------------------------------------------------
-# Parser (precedence climbing over _OPERATORS; backtracking only at the
-# term-vs-formula fork)
+# Parser
+#
+# One loop over a line's tokens, by precedence climbing over _OPERATORS
+# on an explicit stack of plain tuples (prec, build, left, key): a binary
+# operator waiting for its right operand (key is that of a "->"
+# consequent), a prefix "!" or "t:" at _PREFIX waiting for its operand,
+# and, at prec -1, the marker of the line, of each open group and of a
+# term before ":", which keeps the end of the context around it.  After
+# an operand, an operator first reduces the rows that bind tighter, and
+# any other token ends the innermost context: its rows are reduced, and
+# its marker wants a ")", a ":" or the end.
+#
+# At formula position, an atom or _|_ starts a formula, and so does "("
+# before one.  A name, "!" or "(" starts a term exactly when the names,
+# ".", "+", "!" and parentheses after it reach a ":" with as many "(" as
+# ")" before it (_term_ahead), as no term holds an atom or _|_; otherwise
+# "(" opens a formula group and anything else is no formula.  A term that
+# then fails, or ends at no ":", fails as that formula would: at the
+# first token after its leading "(" (_not_formula).  The look ahead from
+# a "(" that opens a formula group also serves the group's first token,
+# so a run of nested "(" looks ahead once.
+
+_TERM_ROWS = {kind: (op.prec + op.right, op.prec, op.node, op.right)
+              for kind, op in _TERM_OPS.items()}
+_FORMULA_ROWS = {kind: (op.prec + op.right, op.prec, op.node, op.right)
+                 for kind, op in _FORMULA_OPS.items()}
+_IN_TERMS = frozenset({"NAME", "DOT", "PLUS", "BANG"})  # the tokens of a term, but "(" and ")"
+_TERM_STARTS = frozenset({"NAME", "BANG", "LPAR"})
+_PARENS = frozenset({"LPAR", "RPAR"})
+_LINE, _GROUP, _BEFORE_COLON = "line", "group", "term"  # markers
 
 
-class _Parser:
-    def __init__(self, texts: list[str], kinds: list[str],
-                 constants: frozenset[str], table: _Table | None):
+def _bang(_, inner):
+    return Bang(inner)
+
+
+def _matches(kinds: list[str]) -> dict[int, int]:
+    """The index of the ")" that closes each "(" of a line, by the index
+    of the "(", in one pass over the parentheses."""
+    match = {}
+    opened = []
+    for j in itertools.compress(itertools.count(), map(_PARENS.__contains__, kinds)):
+        if kinds[j] == "LPAR":
+            opened.append(j)
+        elif opened:
+            match[opened.pop()] = j
+    return match
+
+
+def _term_ahead(kinds: list[str], j: int) -> tuple[int, int]:
+    """The first token from j that is not a name, ".", "+", "!" or a
+    parenthesis, and how many more "(" than ")" come before it."""
+    depth = 0
+    while True:
+        kind = kinds[j]
+        if kind == "LPAR":
+            depth += 1
+        elif kind == "RPAR":
+            depth -= 1
+        elif kind not in _IN_TERMS:
+            return j, depth
+        j += 1
+
+
+def _not_formula(kinds: list[str], start: int, message: str, at: int):
+    """Fail at token at with message, in a term; in a term that starts at
+    token start before ":" (start >= 0), fail as the formula route does."""
+    if start >= 0:
+        message, at = "expected formula", start
+        while kinds[at] == "LPAR":
+            at += 1
+    raise _Fail(message, at)
+
+
+def _parse(src: str, sort: type, table: _Table):
+    """A node of sort (Term or Formula) parsed from the whole of src, with
+    the keys of table (see Parse tables)."""
+    texts, kinds = _tokenize(src, table.kinds)
+    n = len(kinds) - 1  # the EOF
+    budget = table.share * n  # the tokens that keys may still take
+    try:
         if "BAD" in kinds:
             at = kinds.index("BAD")
             raise _Fail(f"unexpected character {texts[at]!r}", at)
-        self.texts, self.kinds = texts, kinds
-        self.i = 0
-        self.constants = constants
-        self.no_term: dict[int, tuple[str, int]] = {}  # failed term(): message, at
-        self.table = table
-        self.depths: list[int] | None = None  # parenthesis depth after each token
-        self.end = len(kinds) - 1  # the ")" or EOF that ends the formula group or line
-
-    def lookup(self, i: int, sort: type) -> tuple[int | None, str | None, _Node | None]:
-        """The index of the ")" that closes the group opening at token i
-        and the group's table key (both None when the group is not
-        closed), and the node of sort that the table holds for it, with
-        the parser moved past the ")" (None when it holds none)."""
-        depths = self.depths
-        if depths is None:
-            depths = self.depths = list(itertools.accumulate(
-                map(_DEPTH.get, self.kinds, itertools.repeat(0))))
-        try:
-            end = depths.index(depths[i] - 1, i)
-        except ValueError:
-            return None, None, None
-        key = " ".join(self.texts[i + 1:end])
-        node = self.table.get(key)
-        if isinstance(node, sort):
-            self.i = end + 1
-            return end, key, node
-        return end, key, None
-
-    def close(self) -> None:
-        """Step over the ")" that must come next."""
-        if self.kinds[self.i] != "RPAR":
-            raise _Fail("expected ')'", self.i)
-        self.i += 1
-
-    def binary(self, ops: dict, operand, level: int = 0):
-        """An operand, then each operator of ops whose precedence is at
-        least level, with its right operand: the operators above its
-        precedence, or from its precedence on if it groups to the right."""
-        left = operand()
-        kinds = self.kinds
-        op = ops.get(kinds[self.i])
-        while op is not None and op.prec >= level:
-            self.i = i = self.i + 1
-            if not op.right:
-                right = self.binary(ops, operand, op.prec + 1)
-            elif self.table is None or self.end - i < 2:
-                # one token is an atom, which atomic keys, or _|_
-                right = self.binary(ops, operand, op.prec)
-            else:
-                # "->": its right operand runs to end (see Parse tables)
-                end = self.end
-                key = " ".join(self.texts[i:end])
-                right = self.table.get(key)
-                if isinstance(right, Formula):
-                    self.i = end
+        line = None
+        if n <= budget:
+            budget -= n
+            line = " ".join(texts[:n])
+        a = table.get(line)
+        if isinstance(a, sort):
+            return a
+        constants = table.constants
+        term = sort is Term
+        rows = _TERM_ROWS if term else _FORMULA_ROWS
+        stack = [(-1, _LINE, n, line)]
+        end = n  # the ")" or EOF that ends the formula context, -1 if none
+        start = -1  # where the term before ":" starts, if in one
+        ahead = -1  # the formula position that stop and depth are for
+        match = None
+        i = 0
+        while True:
+            # an operand starts at i
+            kind = kinds[i]
+            if kind == "ATOM" and not term or kind == "NAME" and (
+                    term or kinds[i + 1] == "COLON"):
+                name = texts[i]
+                a = table.get(name)
+                if a is None:
+                    leaf = (Atom if kind == "ATOM" else
+                            Constant if is_constant_name(name, constants) else Variable)
+                    a = table[name] = leaf(name)
+                i += 1
+                if kind == "NAME" and not term:  # "name :" starts a term
+                    stack.append((_PREFIX, Just, a, None))
+                    i += 1
+                    continue
+            elif term:
+                if kind == "BANG":
+                    stack.append((_PREFIX, _bang, None, None))
+                    i += 1
+                    continue
+                if kind != "LPAR":
+                    _not_formula(kinds, start, f"atom {texts[i]!r} used as a term"
+                                 if kind == "ATOM" else "expected term", i)
+            elif kind == "FALSUM":
+                a = FALSUM
+                i += 1
+            elif kind != "LPAR" or kinds[i + 1] not in _ATOMIC:
+                if kind not in _TERM_STARTS:
+                    raise _Fail("expected formula", i)
+                if ahead != i:
+                    stop, depth = _term_ahead(kinds, i)
+                if not depth and kinds[stop] == "COLON":
+                    stack.append((-1, _BEFORE_COLON, end, None))
+                    term, rows, start = True, _TERM_ROWS, i
+                    continue
+                if kind != "LPAR":
+                    raise _Fail("expected formula", i)
+                ahead, depth = i + 1, depth - 1  # _term_ahead from the next token
+            if kind == "LPAR":
+                if match is None:
+                    match = _matches(kinds)
+                m = match.get(i, -1)
+                key = a = None
+                if i < m <= i + 1 + budget:
+                    budget -= m - i - 1
+                    key = " ".join(texts[i + 1:m])
+                    a = table.get(key)
+                if not isinstance(a, Term if term else Formula):
+                    stack.append((-1, _GROUP, end, key))
+                    if not term:
+                        end = m
+                    i += 1
+                    continue
+                i = m + 1
+            # an operand a is complete, and i is the token after it
+            while True:
+                row = rows.get(kinds[i])
+                if row is not None:
+                    lim, prec, node, right = row
+                    top = stack[-1]
+                    while top[0] >= lim:
+                        stack.pop()
+                        a = top[1](top[2], a)
+                        top = stack[-1]
+                    i += 1
+                    key = None
+                    if right and 2 <= end - i <= budget:
+                        budget -= end - i
+                        key = " ".join(texts[i:end])
+                        b = table.get(key)
+                        if isinstance(b, Formula):
+                            stack.append((prec, node, a, None))
+                            a, i = b, end
+                            continue
+                    stack.append((prec, node, a, key))
+                    break
+                # the context of the innermost marker ends at i
+                whole = i == end
+                top = stack.pop()
+                while top[0] >= 0:
+                    if top[3] is not None and whole:
+                        table[top[3]] = a
+                    a = top[1](top[2], a)
+                    top = stack.pop()
+                _, marker, end, key = top
+                if marker is _GROUP:
+                    if kinds[i] != "RPAR":
+                        _not_formula(kinds, start, "expected ')'", i)
+                    if key is not None:
+                        table[key] = a
+                    i += 1
+                elif marker is _BEFORE_COLON:
+                    if kinds[i] != "COLON":
+                        _not_formula(kinds, start, "expected ':'", i)
+                    stack.append((_PREFIX, Just, a, None))
+                    term, rows, start = False, _FORMULA_ROWS, -1
+                    i += 1
+                    break
                 else:
-                    right = self.binary(ops, operand, op.prec)
-                    if self.i == end:
-                        self.table[key] = right
-            left = op.node(left, right)
-            op = ops.get(kinds[self.i])
-        return left
-
-    def term(self) -> Term:
-        """A term from the current position.  Whether one parses depends
-        on the position alone, so a failure is kept and raised again at
-        once: each term route that just() tries at a "(" walks down to
-        the first failure and stops there, which keeps parsing linear in
-        parenthesis nesting."""
-        start = self.i
-        failed = self.no_term.get(start)
-        if failed is not None:
-            raise _Fail(*failed)
-        try:
-            return self.binary(_TERM_OPS, self.unary)
-        except _Fail as e:
-            self.no_term[start] = (e.message, e.at)
-            raise
-
-    def formula(self) -> Formula:
-        return self.binary(_FORMULA_OPS, self.just)
-
-    # unary := "!" unary | name | "(" term ")"
-
-    def unary(self) -> Term:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "NAME":
-            self.i = i + 1
-            name = self.texts[i]
-            table = self.table
-            if table is None:
-                if is_constant_name(name, self.constants):
-                    return Constant(name)
-                return Variable(name)
-            t = table.get(name)
-            if t is None:
-                leaf = Constant if is_constant_name(name, self.constants) else Variable
-                t = table[name] = leaf(name)
-            return t
-        if kind == "LPAR":
-            key = None
-            if self.table is not None:
-                _, key, t = self.lookup(i, Term)
-                if t is not None:
-                    return t
-            self.i = i + 1
-            t = self.term()
-            self.close()
-            if key is not None:
-                self.table[key] = t
-            return t
-        if kind == "BANG":
-            self.i = i + 1
-            return Bang(self.unary())
-        if kind == "ATOM":
-            raise _Fail(f"atom {self.texts[i]!r} used as a term", i)
-        raise _Fail("expected term", i)
-
-    # just := term ":" just | atomic
-
-    def just(self) -> Formula:
-        kinds = self.kinds
-        i = self.i
-        if kinds[i] in _ATOMIC or (kinds[i] == "LPAR" and kinds[i + 1] in _ATOMIC):
-            return self.atomic()
-        # A leading "(" may open a term or a formula; unless an atom or
-        # _|_, which no term contains, follows it, try the term route
-        # first and fall back unless a ":" commits us to it.  A group the
-        # table holds as a formula is no term.
-        if kinds[i] == "LPAR" and self.table is not None:
-            a = self.lookup(i, Formula)[2]
-            if a is not None:
-                return a
-        try:
-            t = self.term()
-            committed = kinds[self.i] == "COLON"
-        except _Fail:
-            committed = False
-        if committed:
-            self.i += 1
-            return Just(t, self.just())
-        self.i = i
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "ATOM":
-            self.i = i + 1
-            name = self.texts[i]
-            table = self.table
-            if table is None:
-                return Atom(name)
-            a = table.get(name)
-            if a is None:
-                a = table[name] = Atom(name)
-            return a
-        if kind == "LPAR":
-            key = None
-            outer = self.end
-            if self.table is not None:
-                end, key, a = self.lookup(i, Formula)
-                if a is not None:
+                    if kinds[i] != "EOF":
+                        raise _Fail(f"unexpected {texts[i]!r} after {sort.__name__.lower()}", i)
+                    if line is not None:
+                        table[line] = a
                     return a
-                if key is not None:
-                    self.end = end
-            self.i = i + 1
-            a = self.formula()
-            self.close()
-            if key is not None:
-                self.end = outer
-                self.table[key] = a
-            return a
-        if kind == "FALSUM":
-            self.i = i + 1
-            return FALSUM
-        raise _Fail("expected formula", i)
-
-
-def _parse(src: str, constants: frozenset[str], sort: type, table: _Table | None):
-    """A node of sort (Term or Formula) parsed from the whole of src.  With
-    a table, a line whose text the table holds comes back as that node,
-    and a line that may get near the recursion limit is parsed without
-    the table."""
-    try:
-        if table is None:
-            texts, kinds = _tokenize(src)
-        else:
-            texts, kinds = _tokenize(src, table.kinds)
-            if _FRAMES_PER_TOKEN * len(texts) < table.room:
-                key = " ".join(texts[:-1])
-                out = table.get(key)
-                if isinstance(out, sort):
-                    return out
-            else:
-                table = None
-        p = _Parser(texts, kinds, constants, table)
-        try:
-            out = p.formula() if sort is Formula else p.term()
-        except RecursionError:
-            raise _Fail(f"{sort.__name__.lower()} nested too deeply", p.i) from None
-        if kinds[p.i] != "EOF":
-            raise _Fail(f"unexpected {texts[p.i]!r} after {sort.__name__.lower()}", p.i)
     except _Fail as e:
         raise ParseError(e.message, _position(src, e.at)) from None
-    if table is not None:
-        table[key] = out
-    return out
 
 
 def parse_term(src: str, constants: frozenset[str] = frozenset(), *,
                _table: _Table | None = None) -> Term:
-    """Parse a justification term; raises ParseError with a position,
-    also for input nested too deeply to parse.  A file reader passes its
-    _Table, whose constants are constants."""
-    return _parse(src, constants, Term, _table)
+    """Parse a justification term; raises ParseError with a position.  A
+    file reader passes its _Table, whose constants are constants."""
+    return _parse(src, Term, _Table(constants, 0) if _table is None else _table)
 
 
 def parse_formula(src: str, constants: frozenset[str] = frozenset(), *,
                   _table: _Table | None = None) -> Formula:
-    """Parse a formula; raises ParseError with a position, also for input
-    nested too deeply to parse.  A file reader passes its _Table, whose
-    constants are constants."""
-    return _parse(src, constants, Formula, _table)
+    """Parse a formula; raises ParseError with a position.  A file reader
+    passes its _Table, whose constants are constants."""
+    return _parse(src, Formula, _Table(constants, 0) if _table is None else _table)

@@ -15,7 +15,7 @@ import jlogic
 from jlogic import cli
 from jlogic.cli import main
 from jlogic.proof_system import MAX_DEPTH, parse_proof
-from jlogic.syntax import _Table, parse_formula, print_formula
+from jlogic.syntax import parse_formula, print_formula
 
 PROOF = """hypotheses:
   1. x:p
@@ -85,54 +85,44 @@ def test_parse_error_exit_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("parse", "(" * 600 + "p" + ")" * 600),
-    ("parse", "--term", "(" * 600 + "x" + ")" * 600),
-])
-def test_deep_nesting_exit_2(capsys, argv):
-    rc, _, err = run(capsys, *argv)
-    assert rc == 2
-    assert "nested too deeply" in err
+@pytest.mark.parametrize("argv, printed", [
+    (("parse", "(" * 600 + "p" + ")" * 600), "p\n"),
+    (("parse", "--term", "(" * 600 + "x" + ")" * 600), "x\n"),
+], ids=["argv0", "argv1"])
+def test_deep_nesting_exit_0(capsys, argv, printed):
+    assert run(capsys, *argv) == (0, printed, "")
 
 
-def test_deep_line_after_its_group_exit_2(capsys, tmp_path):
-    # the group in line 2 does not let line 3 past the nesting limit
+def test_deep_line_after_its_group_exit_0(capsys, tmp_path):
+    # the group in line 2 comes back as the same node in line 3
     chain = " -> ".join(["p"] * 600)
     pf = tmp_path / "pf.txt"
     pf.write_text(f"hypotheses:\n  1. ({chain})\n  2. {chain} -> ({chain})\n"
                   f"proof:\n  1. {chain} -> ({chain}) ; hyp 2\n")
-    rc, out, err = run(capsys, "check", str(pf))
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: line 3: bad formula: formula nested too deeply")
+    assert run(capsys, "check", str(pf)) == (0, "accepted\n", "")
 
 
 def test_deep_chain_in_a_group_after_its_consequents(capsys, tmp_path):
-    # an earlier line keys every consequent of the chain; in one group, the
-    # chain parses as alone just under the table's token limit and just
-    # over it, and a chain too deep to parse fails as it does alone
-    def room():  # that of the table parse_proof builds, one frame down
-        return _Table(frozenset()).room
-
-    under = (room() - 17) // 8  # "(r -> " chain ")" has 2n + 4 tokens
-    for n in (under, under + 1):
-        chain = " -> ".join(f"p{i}" for i in range(n))
-        pi = parse_proof(f"proof:\n  1. q -> {chain} ; hyp 1\n"
-                         f"  2. (r -> {chain}) ; hyp 1\n")
-        earlier, line = (step.conclusion for step in pi.steps)
-        alone = parse_formula(f"(r -> {chain})")
-        assert line == alone and earlier.right == line.right
-        assert print_formula(line, True) == print_formula(alone, True)
+    # an earlier line keys the consequents of the chain; in a group in more
+    # and more parentheses, the chain is the earlier node until the keys
+    # of the outer groups take the line's key budget, and parses as alone
+    # on both sides; a chain of 1,000 in a group is checked like any line
+    chain = " -> ".join(f"p{i}" for i in range(20))
+    shared = []
+    for k in range(30):
+        line = "(" * k + f"(r -> {chain})" + ")" * k
+        pi = parse_proof(f"proof:\n  1. q -> {chain} ; hyp 1\n  2. {line} ; hyp 1\n")
+        earlier, got = (step.conclusion for step in pi.steps)
+        alone = parse_formula(line)
+        assert got == alone and print_formula(got, True) == print_formula(alone, True)
+        shared.append(got.right is earlier.right)
+    assert shared[0] and not shared[-1]
     chain = " -> ".join(["p"] * 1000)
-    errors = []
     for first in ("q", "q -> " + " -> ".join(["p"] * 100)):
         pf = tmp_path / "pf.txt"
         pf.write_text(f"hypotheses:\n  1. {first}\n  2. ({chain})\n"
-                      f"proof:\n  1. q ; hyp 1\n")
-        rc, out, err = run(capsys, "check", str(pf))
-        assert (rc, out) == (2, "")
-        errors.append(err)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("error: line 3: bad formula: formula nested too deeply")
+                      f"proof:\n  1. {chain} ; hyp 2\n")
+        assert run(capsys, "check", str(pf)) == (0, "accepted\n", "")
 
 
 def test_usage_error_exit_2(capsys):
@@ -297,6 +287,21 @@ def test_internalize_deep_chain_prints(capsys, tmp_path):
     assert (rc, out, err) == (0, f"internalized by {term}\n", "")
     last = out_file.read_text().splitlines()[-1]
     assert last.split(". ", 1)[1] == f"{term}:p ; mp 4000,3997"
+
+
+def test_internalized_deep_chain_checks(capsys, tmp_path):
+    # internalize of a 1,000-step mp chain writes a proof whose last line
+    # nests its term 1,000 deep, and check accepts that proof
+    steps = ["  1. p ; hyp 1"]
+    for k in range(1, 1001):
+        steps += [f"  {2 * k}. p -> p ; hyp 2",
+                  f"  {2 * k + 1}. p ; mp {2 * k},{2 * k - 1}"]
+    pf = tmp_path / "pf.txt"
+    pf.write_text("hypotheses:\n  1. p\n  2. p -> p\nproof:\n"
+                  + "\n".join(steps) + "\n")
+    out_file = tmp_path / "int.txt"
+    assert run(capsys, "internalize", str(pf), "x,y", str(out_file))[0] == 0
+    assert run(capsys, "check", str(out_file)) == (0, "accepted\n", "")
 
 
 def test_countermodel_of_many_evidenced_conjuncts(capsys):

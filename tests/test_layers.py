@@ -1,7 +1,8 @@
 """Module layering: a private name of the package is imported only from
 jlogic.syntax, whose file front end and parse tables the readers share.
 And the inventory of the recursion in the package: the cycles of each
-module's call graph, each with what bounds its depth."""
+module's call graph, each with what bounds its depth; no module reads or
+moves the recursion limit, or walks its own stack."""
 
 import ast
 import sys
@@ -52,10 +53,23 @@ RECURSIVE = {
     ("proof_system._Searcher._introduce", "proof_system._Searcher._invert_mp",
      "proof_system._Searcher.derive"):
         "the depth bound k, at most MAX_DEPTH, two frames a unit",
-    ("syntax._Parser.atomic", "syntax._Parser.binary", "syntax._Parser.formula",
-     "syntax._Parser.just", "syntax._Parser.term", "syntax._Parser.unary"):
-        "room and RecursionError, in _parse",
 }
+
+# What a module would call to measure or move the recursion limit.
+STACK_PROBES = {"getrecursionlimit", "setrecursionlimit", "_getframe"}
+
+
+def test_no_module_probes_the_stack():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in STACK_PROBES \
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys":
+                found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += [f"{path.name}:{node.lineno}: {alias.name} from sys"
+                          for alias in node.names if alias.name in STACK_PROBES]
+    assert found == []
 
 
 def test_depth_bound_fits_the_recursion_limit():

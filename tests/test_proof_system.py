@@ -40,10 +40,12 @@ from jlogic.syntax import (
     Implies,
     Just,
     Or,
+    ParseError,
     Sum,
     Term,
     Variable,
     parse_formula,
+    print_formula,
 )
 
 CS = ConstantSpecification.default_schematic()
@@ -424,26 +426,34 @@ def test_with_hypotheses_remaps():
         with_hypotheses(ACCEPT, (q,))
 
 
-# A line that repeats a group of an earlier line keeps the nesting limit
-# it has alone: 300 parentheses around p, where the earlier line has 200;
-# a 600-long "->" chain followed by "-> (" the same chain ")"; and 200
-# unclosed parentheses, each as deep as a token can go, before a group of
-# 60.
+# A line nested deeper than a recursive parser could go parses as it does
+# alone, also after an earlier line whose groups it repeats: 300
+# parentheses around p, where the earlier line has 200; a 600-long "->"
+# chain followed by "-> (" the same chain ")"; and 200 unclosed
+# parentheses before a group of 60, which fails at the end as it does
+# alone.
 DEEP = "(" * 200 + "p" + ")" * 200
 CHAIN = " -> ".join(["p"] * 600)
 GROUP = "(" * 60 + "p" + ")" * 60
 
 
-@pytest.mark.parametrize("earlier,line", [
-    (DEEP, "(" * 100 + DEEP + ")" * 100),
-    (f"({CHAIN})", f"{CHAIN} -> ({CHAIN})"),
-    (GROUP, "(" * 200 + GROUP),
+@pytest.mark.parametrize("earlier,line,error", [
+    (DEEP, "(" * 100 + DEEP + ")" * 100, None),
+    (f"({CHAIN})", f"{CHAIN} -> ({CHAIN})", None),
+    (GROUP, "(" * 200 + GROUP, "expected ')'"),
 ], ids=["parentheses", "chain", "unclosed"])
-def test_nesting_limit_per_line(earlier, line):
-    with pytest.raises(FileFormatError) as alone:
-        parse_proof(f"proof:\n  1. {line} ; hyp 1\n")
-    assert alone.value.message.startswith("bad formula: formula nested too deeply")
+def test_nesting_limit_per_line(earlier, line, error):
     text = f"hypotheses:\n  1. {earlier}\n  2. {line}\nproof:\n  1. {line} ; hyp 2\n"
-    with pytest.raises(FileFormatError) as exc:
-        parse_proof(text)
-    assert (exc.value.line, exc.value.message) == (3, alone.value.message)
+    if error is not None:
+        with pytest.raises(ParseError) as alone:
+            parse_formula(line)
+        assert alone.value.message == error
+        with pytest.raises(FileFormatError) as exc:
+            parse_proof(text)
+        assert (exc.value.line, exc.value.message) == (3, f"bad formula: {alone.value}")
+        return
+    want = parse_formula(line)
+    pi = parse_proof(text)
+    got = pi.hypotheses[1]
+    assert got == want and pi.steps[0].conclusion is got
+    assert print_formula(got, True) == print_formula(want, True)

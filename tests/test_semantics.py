@@ -1,6 +1,8 @@
 """Evidence closure, truth evaluation, model validation, model files."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -536,6 +538,57 @@ order:
     m = parse_model(text)
     assert ("a", "c") in m.order
     assert ("a", "a") in m.order
+
+
+def reference_closure(worlds, pairs):
+    """The closure that the walk from each world replaced: every pair of
+    pairs rescanned until nothing changes."""
+    rel = {(w, w) for w in worlds} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
+            if b == c and (a, d) not in rel:
+                rel.add((a, d))
+                changed = True
+    return frozenset(rel)
+
+
+def random_order(rng):
+    """Worlds with names against their positions, and random pairs among
+    them and a few other names: any relation, cycles included."""
+    worlds = [f"w{i}" for i in rng.sample(range(20), rng.randint(1, 7))]
+    names = worlds + ["u", "v"][:rng.randint(0, 2)]
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 12))]
+    return worlds, pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_closure_and_validation_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        worlds, pairs = random_order(rng)
+        assert transitive_reflexive_closure(worlds, pairs) == reference_closure(worlds, pairs)
+        # an order as given, often invalid, and its closure
+        pairs = [(a, b) for a, b in pairs if a in worlds and b in worlds]
+        atoms = {w: {"p", "q"} - {rng.choice("pqr")} for w in worlds}
+        for order in (pairs, transitive_reflexive_closure(worlds, pairs)):
+            m = BasicEvaluation(worlds, order, atoms, cs=CS)
+            assert str(validate_model(m)) == reference_validation_text(m)
+
+
+def test_chain_order_is_quick():
+    # a 300-world chain read from its covering pairs and validated; read
+    # back from its printed order of every pair, it is the same order
+    n = 300
+    text = ("worlds: " + " ".join(f"w{i}" for i in range(n)) + "\norder:\n"
+            + "".join(f"  w{i} <= w{i + 1}\n" for i in range(n - 1)))
+    start = time.perf_counter()
+    m = parse_model(text)
+    assert validate_model(m).ok
+    assert time.perf_counter() - start < 1
+    assert len(m.order) == n * (n + 1) // 2
+    assert parse_model(print_model(m)).order == m.order
 
 
 # --- randomized valid models ------------------------------------------------

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,22 +296,26 @@ def test_atoms_parse_without_exceptions(monkeypatch):
 
 
 def test_paren_nesting_is_linear(monkeypatch):
-    # every "(" in formula position may open a term; each term attempt
-    # must stop at the failure an earlier one already found
+    # a "(" in formula position may start a term; the look ahead from the
+    # first "(" serves every group inside it, so nesting costs one
     calls = []
-    real = syntax._Parser.unary
+    real = syntax._term_ahead
 
-    def counting(self):
-        calls.append(self.i)
-        return real(self)
+    def counting(kinds, j):
+        calls.append(j)
+        return real(kinds, j)
 
-    monkeypatch.setattr(syntax._Parser, "unary", counting)
-    counts = {}
+    monkeypatch.setattr(syntax, "_term_ahead", counting)
     for depth in (100, 200):
+        for src, want in [("(" * depth + "p" + ")" * depth, p),
+                          ("(" * depth + "x" + ")" * depth + ":p", Just(x, p))]:
+            calls.clear()
+            assert parse_formula(src) == want
+            assert calls == [0]
         calls.clear()
-        assert parse_formula("(" * depth + "p" + ")" * depth) == p
-        counts[depth] = len(calls)
-    assert counts[200] <= 2 * counts[100] + 2
+        with pytest.raises(ParseError, match=f"expected formula \\(at position {depth}\\)"):
+            parse_formula("(" * depth + "x" + ")" * depth + " -> p")
+        assert calls == [0]
 
 
 def test_formula_atoms_walks_once(monkeypatch):
@@ -694,3 +699,247 @@ def test_parse_results_pinned():
     for line in parse_results(source_corpus(2016, 2000)):
         digest.update(line.encode())
     assert digest.hexdigest() == PARSE_RESULTS_SHA256
+
+
+# --- the parser against the recursive reference -----------------------------
+
+
+class ReferenceParser:
+    """The recursive-descent parser that the loop on an explicit stack
+    replaced, without its parse table: precedence climbing over
+    _OPERATORS, and at formula position the term route tried first, with
+    a fall back to the formula route unless a ":" follows the term.  A
+    failed term attempt is kept by position, so parenthesis nesting stays
+    linear.  Input nested past the recursion limit fails as nested too
+    deeply."""
+
+    def __init__(self, texts, kinds, constants):
+        self.texts, self.kinds = texts, kinds
+        self.i = 0
+        self.constants = constants
+        self.no_term = {}
+
+    def close(self):
+        if self.kinds[self.i] != "RPAR":
+            raise syntax._Fail("expected ')'", self.i)
+        self.i += 1
+
+    def binary(self, ops, operand, level=0):
+        left = operand()
+        op = ops.get(self.kinds[self.i])
+        while op is not None and op.prec >= level:
+            self.i += 1
+            right = self.binary(ops, operand, op.prec + (not op.right))
+            left = op.node(left, right)
+            op = ops.get(self.kinds[self.i])
+        return left
+
+    def term(self):
+        start = self.i
+        if start in self.no_term:
+            raise syntax._Fail(*self.no_term[start])
+        try:
+            return self.binary(syntax._TERM_OPS, self.unary)
+        except syntax._Fail as e:
+            self.no_term[start] = (e.message, e.at)
+            raise
+
+    def formula(self):
+        return self.binary(syntax._FORMULA_OPS, self.just)
+
+    def unary(self):
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "NAME":
+            self.i = i + 1
+            name = self.texts[i]
+            return (Constant if syntax.is_constant_name(name, self.constants)
+                    else Variable)(name)
+        if kind == "LPAR":
+            self.i = i + 1
+            t = self.term()
+            self.close()
+            return t
+        if kind == "BANG":
+            self.i = i + 1
+            return Bang(self.unary())
+        if kind == "ATOM":
+            raise syntax._Fail(f"atom {self.texts[i]!r} used as a term", i)
+        raise syntax._Fail("expected term", i)
+
+    def just(self):
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] in ("ATOM", "FALSUM") or (
+                kinds[i] == "LPAR" and kinds[i + 1] in ("ATOM", "FALSUM")):
+            return self.atomic()
+        try:
+            t = self.term()
+            committed = kinds[self.i] == "COLON"
+        except syntax._Fail:
+            committed = False
+        if committed:
+            self.i += 1
+            return Just(t, self.just())
+        self.i = i
+        return self.atomic()
+
+    def atomic(self):
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "ATOM":
+            self.i = i + 1
+            return Atom(self.texts[i])
+        if kind == "LPAR":
+            self.i = i + 1
+            a = self.formula()
+            self.close()
+            return a
+        if kind == "FALSUM":
+            self.i = i + 1
+            return FALSUM
+        raise syntax._Fail("expected formula", i)
+
+
+def reference_parse(src, constants, sort):
+    texts, kinds = syntax._tokenize(src)
+    p = ReferenceParser(texts, kinds, constants)
+    try:
+        if "BAD" in kinds:
+            at = kinds.index("BAD")
+            raise syntax._Fail(f"unexpected character {texts[at]!r}", at)
+        try:
+            out = p.formula() if sort is syntax.Formula else p.term()
+        except RecursionError:
+            raise syntax._Fail(f"{sort.__name__.lower()} nested too deeply", p.i) from None
+        if kinds[p.i] != "EOF":
+            raise syntax._Fail(f"unexpected {texts[p.i]!r} after {sort.__name__.lower()}", p.i)
+    except syntax._Fail as e:
+        raise ParseError(e.message, syntax._position(src, e.at)) from None
+    return out
+
+
+def outcome(parse, *args, **kwargs):
+    """The fully parenthesized print and class of what parse gives, or
+    the message and position of its ParseError."""
+    try:
+        node = parse(*args, **kwargs)
+    except ParseError as e:
+        return e.message, e.pos
+    full = print_formula if isinstance(node, syntax.Formula) else print_term
+    return full(node, True), type(node).__name__
+
+
+SORTS = ((parse_formula, syntax.Formula), (parse_term, syntax.Term))
+CONSTANT_SETS = (frozenset(), frozenset({"kb"}))
+TOKENS = ["(", ")", "->", "/\\", "\\/", "_|_", ".", "!", "+", ":",
+          "p", "q", "p7", "x", "y", "c1", "kb"]
+
+
+def mutated(rng, src, edits):
+    """src as tokens joined by spaces, with edits tokens deleted, inserted
+    or replaced."""
+    tokens = syntax._tokenize(src)[0][:-1]
+    for _ in range(edits):
+        i = rng.randint(0, len(tokens))
+        edit = rng.randrange(3) if i < len(tokens) else 1
+        if edit == 0:
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, rng.choice(TOKENS))
+        else:
+            tokens[i] = rng.choice(TOKENS)
+    return " ".join(tokens)
+
+
+def differential_sources(seed, n):
+    """n source texts: random token strings, and generated terms and
+    formulas, each followed by copies with one or two tokens mutated (the
+    first twice) and by a line that holds it in a group, so that lines
+    parsed through one table meet each other's groups and consequents,
+    also those of lines that failed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.15:
+            out.append(" ".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 12))))
+            continue
+        sort = rng.choice(["term", "formula"])
+        src = random_source(rng, rng.randint(0, 6), sort)
+        out.append(src)
+        copies = [mutated(rng, src, rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+        out += copies + copies[:1]  # a line again, after what it keyed
+        if sort == "term":
+            out.append(f"{random_source(rng, 2, sort)}.({src}):{random_source(rng, 2, 'formula')}")
+        else:
+            out.append(f"({src}) -> {random_source(rng, 2, sort)} -> {src}")
+    return out[:n]
+
+
+def parser_mismatches(sources, batch=25):
+    """The sources on which the parser and the reference differ, parsed
+    alone and, batch lines at a time, through one shared _Table; inputs
+    that the reference finds nested too deeply are left out.  Returns the
+    mismatches and the number of comparisons."""
+    bad, compared = [], 0
+    sources = list(sources)
+    for constants in CONSTANT_SETS:
+        for start in range(0, len(sources), batch):
+            table = syntax._Table(constants)
+            for src in sources[start:start + batch]:
+                for parse, sort in SORTS:
+                    want = outcome(reference_parse, src, constants, sort)
+                    if want[0].endswith("nested too deeply"):
+                        continue
+                    alone = outcome(parse, src, constants)
+                    shared = outcome(parse, src, constants, _table=table)
+                    compared += 1
+                    if alone != want or shared != want:
+                        bad.append((src, sorted(constants), sort.__name__, want, alone, shared))
+    return bad, compared
+
+
+def test_parser_agrees_with_reference():
+    bad, compared = parser_mismatches(differential_sources(20, 3000))
+    assert compared > 10000
+    assert bad == []
+
+
+@given(formulas, terms)
+def test_parser_agrees_with_reference_on_printed_trees(a, t):
+    texts = [print_formula(a), print_formula(a, True), print_term(t), print_term(t, True)]
+    assert parser_mismatches(texts) == ([], 16)
+
+
+# A deep input parses, or fails as the reference fails at n = 10, in
+# linear time: n parentheses around p, a chain of n "->", and a term
+# group n deep that ends in "x +".
+@pytest.mark.parametrize("source, expected", [
+    (lambda n: "(" * n + "p" + ")" * n, lambda n: p),
+    (lambda n: " -> ".join(["p"] * (n + 1)), deep_chain),
+    (lambda n: "(" * n + "x +" + ")" * n + ":p", lambda n: ("expected formula", n)),
+], ids=["parentheses", "chain", "term-group"])
+def test_deep_input_parses(source, expected):
+    def result(parse, src, *args, **kwargs):
+        try:
+            return parse(src, *args, **kwargs)
+        except ParseError as e:
+            return e.message, e.pos
+
+    assert result(reference_parse, source(10), frozenset(), syntax.Formula) == expected(10)
+    src = source(20000)
+    for table in (None, syntax._Table(frozenset())):
+        start = time.perf_counter()
+        got = result(parse_formula, src, _table=table)
+        assert time.perf_counter() - start < 1
+        assert got == expected(20000)
+
+
+@pytest.mark.parametrize("src", ["p -> q r", "(p -> q r) -> p", "x:(p -> q -> r r)",
+                                 "p -> (q -> r", "p -> q -> r)"])
+def test_failed_line_keys_nothing_false(src):
+    # a consequent is keyed only when its context ends where its text ends
+    table = syntax._Table(frozenset())
+    want = outcome(reference_parse, src, frozenset(), syntax.Formula)
+    for _ in range(2):
+        assert outcome(parse_formula, src, frozenset(), _table=table) == want
