@@ -238,19 +238,29 @@ class ConstantSpecification:
     schematic: tuple[tuple[str, str], ...] = ()  # (constant, schema tag)
     explicit: tuple[tuple[str, Formula], ...] = ()  # (constant, instance)
     # derived from the two above in __post_init__, and ignored by ==:
-    # the constants, and the schema tags and explicit instances listed
-    # for each constant
+    # the constants; the schema tags and explicit instances listed for
+    # each constant; and the least constant of each tag, in AXIOM_TAGS
+    # order, and of each explicit instance (see constant_for)
     _constants: frozenset[str] = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _least_by_tag: tuple = field(init=False, repr=False, compare=False)
+    _least_by_instance: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, tuple[list[str], set[Formula]]] = {}
+        by_tag: dict[str, str] = {}
+        by_instance: dict[Formula, str] = {}
         for c, tag in self.schematic:
             index.setdefault(c, ([], set()))[0].append(tag)
+            by_tag[tag] = min(c, by_tag.get(tag, c))
         for c, inst in self.explicit:
             index.setdefault(c, ([], set()))[1].add(inst)
+            by_instance[inst] = min(c, by_instance.get(inst, c))
         object.__setattr__(self, "_constants", frozenset(index))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_least_by_tag", tuple(
+            (tag, by_tag[tag]) for tag in AXIOM_TAGS if tag in by_tag))
+        object.__setattr__(self, "_least_by_instance", by_instance)
 
     @classmethod
     @functools.cache
@@ -279,16 +289,10 @@ class ConstantSpecification:
         tags = match_axiom(a)
         if not tags:
             return None
-        for tag in AXIOM_TAGS:
-            if tag not in tags:
-                continue
-            names = sorted(c for c, t in self.schematic if t == tag)
-            if names:
-                return names[0]
-        names = sorted(c for c, inst in self.explicit if inst == a)
-        if names:
-            return names[0]
-        return None
+        for tag, name in self._least_by_tag:
+            if tag in tags:
+                return name
+        return self._least_by_instance.get(a)
 
     def is_axiomatically_appropriate(self) -> bool:
         covered = {tag for _, tag in self.schematic}

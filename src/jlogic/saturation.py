@@ -12,7 +12,6 @@ declines to add such candidates and records the unresolved query.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from jlogic.proof_system import (
@@ -24,29 +23,28 @@ from jlogic.proof_system import (
 from jlogic.semantics import (
     BasicEvaluation,
     Countermodel,
+    close_evidence,
     evaluate_truth,
     find_countermodel,
 )
 from jlogic.syntax import (
     And,
-    App,
     Atom,
-    Bang,
-    Constant,
     FALSUM,
     FileFormatError,
     Formula,
     Implies,
     Just,
     Or,
-    Sum,
     Term,
     _Table,
     _sections,
     close_subformulas,
+    close_subterms,
     formula_key,
     parse_formula,
     print_formula,
+    term_size,
 )
 
 
@@ -320,56 +318,66 @@ class CanonicalModel:
     excluded_unknown: tuple[frozenset[Formula], ...]  # candidate sets, unresolved
 
 
-def _one_step_closed(
-    s: frozenset[Formula], inu: frozenset[Formula], forced: frozenset[Formula],
-    sum_terms: frozenset[Term],
-) -> bool:
-    """Cheap necessary closure conditions: s must already contain every
-    formula of the universe inu forced by one derivable step from s
-    (axioms and specification pairs, which are forced from any s and
-    given as forced; modus ponens, weakening, the connective
-    introduction/elimination schemas, and the evidence schemas, where
-    sum_terms are the sums that justify a formula of inu)."""
-    if not forced <= s:
-        return False
-    for a in inu:
-        if a in s:
-            continue
-        if isinstance(a, And) and a.left in s and a.right in s:
-            return False
-        if isinstance(a, Or) and (a.left in s or a.right in s):
-            return False
-        if isinstance(a, Implies) and a.right in s:
-            return False
-    for a in s:
-        if isinstance(a, Implies) and a.left in s and a.right not in s:
-            return False
-        if isinstance(a, And) and not (a.left in s and a.right in s):
-            return False
-        if isinstance(a, Just):
-            if a.body not in s:
-                return False
-            jj = Just(Bang(a.term), a)
-            if jj in inu and jj not in s:
-                return False
-        for b in s:
-            if (
-                isinstance(a, Just)
-                and isinstance(b, Just)
-                and isinstance(a.body, Implies)
-                and a.body.left == b.body
-            ):
-                out = Just(App(a.term, b.term), a.body.right)
-                if out in inu and out not in s:
-                    return False
-    for a in s:
-        if isinstance(a, Just):
-            for t2 in sum_terms:
-                if t2.left == a.term or t2.right == a.term:
-                    widened = Just(t2, a.body)
-                    if widened in inu and widened not in s:
-                        return False
-    return True
+# The canonical screen judges at most 2 ** _BLOCK_BITS subsets at once, so
+# no mask holds more bits than that, whatever the universe size.
+_BLOCK_BITS = 16
+
+
+def _screened_subsets(
+    u: FormulaUniverse, cs: ConstantSpecification
+) -> list[frozenset[Formula]]:
+    """The subsets of u that pass the screen of bounded_canonical_model, by
+    size, then in itertools.combinations order.  Bit m of a block's masks
+    stands for the subset of the formulas at the set bits of m, and a
+    block fixes the formulas past the first _BLOCK_BITS, so has[a], the
+    subsets that hold a, is a fixed pattern.  Each rule is one expression
+    of masks that marks the subsets holding a premise and lacking what it
+    forces; one closure serves the whole block."""
+    n, formulas = len(u), u.formulas
+    terms = sorted(close_subterms(a.term for a in u if isinstance(a, Just)),
+                   key=term_size)
+    low = min(n, _BLOCK_BITS)
+    full = (1 << (1 << low)) - 1
+    # bit m of pattern[i] is bit i of m: fields of 2 ** (i + 1) bits, each
+    # with its upper half set
+    pattern = [(((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1))
+               for half in (1 << i for i in range(low))]
+    subsets = []
+    for block in range(1 << (n - low)):
+        has = dict(zip(formulas, pattern + [
+            full if block >> j & 1 else 0 for j in range(n - low)]))
+        seeds: dict[Term, dict[Formula, int]] = {}
+        for a, mask in has.items():
+            if isinstance(a, Just) and mask:
+                seeds.setdefault(a.term, {})[a.body] = mask
+        closure = close_evidence(seeds, terms, formulas, cs, full)
+        bad = 0
+        for a, mask in has.items():
+            kind = type(a)
+            if kind is Just:  # J-T; the closure's t:B
+                bad |= mask & ~has[a.body] | closure[a.term].get(a.body, 0) & ~mask
+            elif kind is Implies:  # modus ponens; -> introduction
+                right = has[a.right]
+                bad |= mask & has[a.left] & ~right | right & ~mask
+            elif kind is And:  # /\ elimination; /\ introduction
+                both = has[a.left] & has[a.right]
+                bad |= mask & ~both | both & ~mask
+            elif kind is Or:  # the disjunction property; \/ introduction
+                either = has[a.left] | has[a.right]
+                bad |= mask & ~either | either & ~mask
+            elif a == FALSUM:
+                bad |= mask
+            if match_axiom(a):
+                bad |= ~mask
+        # bin() reversed, less its '0b': character m is bit m
+        bits = bin(full & ~bad)[:1:-1]
+        m = bits.find("1")
+        while m >= 0:
+            subsets.append(block << low | m)
+            m = bits.find("1", m + 1)
+    chosen = sorted(([i for i in range(n) if m >> i & 1] for m in subsets),
+                    key=lambda ix: (len(ix), ix))
+    return [frozenset(formulas[i] for i in ix) for ix in chosen]
 
 
 def bounded_canonical_model(
@@ -380,43 +388,22 @@ def bounded_canonical_model(
 ) -> CanonicalModel:
     """Canonical-model fragment over u: worlds are the certified-prime
     subsets of u ordered by inclusion, atoms hold by membership, and the
-    evidence of t is {A | t:A in the world}.  Subsets are screened by
-    cheap closure conditions first, then certified with check_prime;
-    candidates whose verdict is unknown are excluded and reported.
-    Worlds are indexed by subset size then enumeration code."""
+    evidence of t is {A | t:A in the world}.  A screen first drops every
+    subset that holds _|_, breaks the disjunction property, or lacks an
+    axiom instance or a formula that modus ponens, ->, /\\ or \\/
+    introduction, /\\ elimination, J-T or the evidence closure of its t:B
+    members (close_evidence: J-App, J-Sum, J-4 and the CS) forces.  What
+    it forces is derivable, so it drops no prime set.  check_prime then
+    certifies the survivors by size, then in itertools.combinations
+    order, which the worlds keep.  excluded_unknown holds the survivors
+    whose verdict is unknown: only sets that the closure cannot reject."""
     if len(u) > cap:
         raise CapExceeded(f"universe has {len(u)} formulas; cap is {cap}")
-
-    inu = u.formula_set
-    forced = frozenset(
-        a for a in inu
-        if match_axiom(a) or (
-            isinstance(a, Just)
-            and isinstance(a.term, Constant)
-            and cs.covers(a.term.name, a.body)
-        )
-    )
-    sum_terms = frozenset(
-        f.term for f in inu if isinstance(f, Just) and isinstance(f.term, Sum)
-    )
-    candidates = []
-    for size in range(len(u) + 1):
-        for combo in itertools.combinations(range(len(u)), size):
-            s = frozenset(u.formulas[i] for i in combo)
-            if FALSUM in s:
-                continue
-            if any(
-                isinstance(a, Or) and a.left not in s and a.right not in s
-                for a in s
-            ):
-                continue
-            if _one_step_closed(s, inu, forced, sum_terms):
-                candidates.append(s)
 
     worlds: list[BoundedTheory] = []
     verdicts: list[PrimeVerdict] = []
     excluded: list[frozenset[Formula]] = []
-    for s in candidates:
+    for s in _screened_subsets(u, cs):
         th = BoundedTheory(u, s, k)
         verdict = check_prime(th, cs)
         if verdict.status == "prime":
@@ -426,33 +413,15 @@ def bounded_canonical_model(
             excluded.append(s)
 
     names = tuple(f"Δ{i}" for i in range(len(worlds)))
-    order = frozenset(
-        (names[i], names[j])
-        for i in range(len(worlds))
-        for j in range(len(worlds))
-        if worlds[i].members <= worlds[j].members
-    )
-    atoms = {
-        names[i]: frozenset(
-            a.name for a in worlds[i].members if isinstance(a, Atom)
-        )
-        for i in range(len(worlds))
-    }
-    just_terms = {f.term for f in u.formulas if isinstance(f, Just)}
-    evidence = {
-        names[i]: {
-            t: ev for t in just_terms if (ev := inverse_evidence(worlds[i], t))
-        }
-        for i in range(len(worlds))
-    }
-    model = BasicEvaluation(
-        names,
-        order,
-        atoms,
-        base_evidence=evidence,
-        formula_universe=u.formulas,
-        cs=cs,
-    )
+    sets = {w: th.members for w, th in zip(names, worlds)}
+    order = frozenset((v, w) for v in names for w in names if sets[v] <= sets[w])
+    atoms = {w: frozenset(a.name for a in s if isinstance(a, Atom))
+             for w, s in sets.items()}
+    evidence = {w: {a.term: inverse_evidence(th, a.term)
+                    for a in th.members if isinstance(a, Just)}
+                for w, th in zip(names, worlds)}
+    model = BasicEvaluation(names, order, atoms, base_evidence=evidence,
+                            formula_universe=u.formulas, cs=cs)
     return CanonicalModel(model, tuple(worlds), tuple(verdicts), tuple(excluded))
 
 

@@ -211,6 +211,7 @@ class BasicEvaluation:
                     for a in formulas:
                         seeds[a] = seeds.get(a, 0) | bit
             self._closure = _close(
+                self._full,
                 self._upclose,
                 base,
                 sorted(self.term_universe, key=term_size),
@@ -360,23 +361,24 @@ class _Below(dict):
         return out
 
 
-def _close(upclose, base, terms, formula_universe, cs):
+def _close(full, upclose, base, terms, formula_universe, cs):
     """Least evidence family over the base satisfying (1)-(4) and (M2),
     as {t: {A: mask}}: bit i of the mask is set when A is in t* at the
     i-th world, and a formula in t* at no world has no entry.
 
-    upclose is the _Below table of the transposed order, so upclose[P]
-    is the mask of the worlds w with (u, w) in the order for some u in
-    P.  base maps a term to {A: mask} of its seeds, each mask non-zero,
-    and terms is the term universe with every subterm before its
-    superterms (sorted by size, say).  One pass over terms: a term's
-    provisional mask P of a formula is its base mask or'ed with the
-    exact condition images from its subterms' final masks.  Application
+    full is the mask of every world.  upclose is the _Below table of the
+    transposed order, so upclose[P] is the mask of the worlds w with
+    (u, w) in the order for some u in P, or None for no order.  base maps
+    a term to {A: mask} of its seeds, each mask non-zero, and terms is the
+    term universe with every subterm before its superterms (sorted by
+    size, say).  One pass over terms: a term's provisional mask P of a
+    formula is its base mask or'ed with the exact condition images from
+    its subterms' final masks.  Application
     intersects the masks of B -> A and B (an A with several such B's gets
     the union), sum ors the masks of its operands, !s carries the mask of
     each B in s* over to s:B, and a constant gets every world for each
     formula of the universe that cs covers.  The final mask is
-    P | upclose[P].
+    P | upclose[P], or P with no order.
 
     That is exact on any order, reflexive or not, transitive or not: the
     final set at a world w is the union of the provisional sets at w and
@@ -386,9 +388,8 @@ def _close(upclose, base, terms, formula_universe, cs):
     the union makes the family upward-monotone (M2) whenever the order is
     transitive.  So validate_model checks neither: it checks only that
     the order is a partial order.  Both universes must be closed under
-    subterms and subformulas; both callers close them.
+    subterms and subformulas; every caller closes them.
     """
-    full = (1 << len(upclose.up)) - 1
     derived: dict[Term, dict[Formula, int]] = {}
     for t in terms:
         provisional = dict(base.get(t, ()))
@@ -412,8 +413,15 @@ def _close(upclose, base, terms, formula_universe, cs):
             for b, mask in derived[t.inner].items():
                 f = Just(t.inner, b)
                 provisional[f] = provisional.get(f, 0) | mask
-        derived[t] = {a: mask | upclose[mask] for a, mask in provisional.items()}
+        derived[t] = provisional if upclose is None else {
+            a: mask | upclose[mask] for a, mask in provisional.items()}
     return derived
+
+
+def close_evidence(base, terms, formula_universe, cs, full: int):
+    """_close for callers outside this module, at points with no order
+    between them: bit i of a mask is the i-th point, full has them all."""
+    return _close(full, None, base, terms, formula_universe, cs)
 
 
 def _just_mask(derived, t: Term, body: Formula) -> int:
@@ -824,7 +832,8 @@ def find_countermodel(
                     for (t, b), s in zip(pool, combo):
                         if upsets[s]:
                             base.setdefault(t, {})[b] = upsets[s]
-                    derived = _close(poset.upclose, base, t_order, f_universe, cs)
+                    derived = _close(world_full, poset.upclose, base, t_order,
+                                     f_universe, cs)
                     # factivity: each formula must hold wherever it is evidenced
                     evidenced: dict[Formula, int] = {}
                     for per_term in derived.values():

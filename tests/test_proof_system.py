@@ -5,7 +5,12 @@ import random
 import pytest
 
 from jlogic import proof_system
-from jlogic.generators import random_formula, random_schema_instance, random_term
+from jlogic.generators import (
+    env_seed,
+    random_formula,
+    random_schema_instance,
+    random_term,
+)
 from jlogic.proof_system import (
     AXIOM_SCHEMAS,
     AXIOM_TAGS,
@@ -249,6 +254,44 @@ def test_constant_for_prefers_earliest_schema():
     # an IPC-4/IPC-5 overlap goes to the IPC-4 constant
     inst = F("p /\\ p -> p")
     assert CS.constant_for(inst) == CS.constant_for(F("p /\\ q -> p"))
+
+
+def reference_constant_for(cs, a):
+    """constant_for as first written: the constants of each matched tag,
+    in AXIOM_TAGS order, sorted afresh on every call, then those listing a
+    as an explicit instance."""
+    tags = match_axiom(a)
+    if not tags:
+        return None
+    for tag in AXIOM_TAGS:
+        names = sorted(c for c, t in cs.schematic if t == tag)
+        if tag in tags and names:
+            return names[0]
+    names = sorted(c for c, inst in cs.explicit if inst == a)
+    return names[0] if names else None
+
+
+def test_constant_for_matches_reference():
+    """On random specifications with several constants per tag and per
+    explicit instance, listed in random order, constant_for picks what the
+    per-call sort picked."""
+    rng = random.Random(env_seed() * 7919 + 31)
+    for _ in range(60):
+        names = [f"k{i}" for i in range(rng.randint(1, 12))]
+        schematic = [(rng.choice(names), tag)
+                     for tag in rng.sample(AXIOM_TAGS, rng.randint(0, 6))
+                     for _ in range(rng.randint(1, 3))]
+        instances = [random_schema_instance(rng, rng.choice(AXIOM_TAGS))
+                     for _ in range(4)]
+        explicit = [(rng.choice(names), inst)
+                    for inst in instances for _ in range(rng.randint(1, 3))]
+        rng.shuffle(schematic)
+        rng.shuffle(explicit)
+        cs = ConstantSpecification(tuple(schematic), tuple(explicit))
+        queries = instances + [random_schema_instance(rng, tag) for tag in AXIOM_TAGS]
+        queries.append(random_formula(rng, 3))
+        for a in queries:
+            assert cs.constant_for(a) == reference_constant_for(cs, a), (cs, a)
 
 
 def test_explicit_cs_round_trip():

@@ -1,13 +1,16 @@
 """Derivability oracle, prime sets, saturation, canonical models, and the
 shipped universe files."""
 
+import hashlib
+import itertools
 import random
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from jlogic import saturation
-from jlogic.generators import random_formula
+from jlogic.generators import env_seed, random_formula, random_term
 from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
@@ -30,6 +33,7 @@ from jlogic.saturation import (
     DerivabilityOracle,
     FailedPrecondition,
     FormulaUniverse,
+    PrimeVerdict,
     RefutedBySemantics,
     Unknown,
     bounded_canonical_model,
@@ -53,6 +57,7 @@ from jlogic.syntax import (
     formula_terms,
     parse_formula,
     print_formula,
+    print_term,
 )
 
 CS = ConstantSpecification.default_schematic()
@@ -508,6 +513,109 @@ def test_canonical_cap():
     u = FormulaUniverse.from_formulas([Or(p, q)])
     with pytest.raises(CapExceeded):
         bounded_canonical_model(u, CS, 4, cap=2)
+
+
+def unscreened_canonical(u):
+    """The worlds and the unknown sets of a canonical model built with no
+    closure screen: check_prime on every subset of u that holds no _|_
+    and has the disjunction property, by size, then in the order of
+    itertools.combinations."""
+    worlds, unknown = [], []
+    for size in range(len(u) + 1):
+        for combo in itertools.combinations(u.formulas, size):
+            s = frozenset(combo)
+            if FALSUM in s or any(isinstance(a, Or) and a.left not in s
+                                  and a.right not in s for a in s):
+                continue
+            status = check_prime(BoundedTheory(u, s, 4), CS).status
+            if status == "prime":
+                worlds.append(s)
+            elif status == "unknown":
+                unknown.append(s)
+    return worlds, unknown
+
+
+def evidence_specs(rng, count):
+    """count random universes of at most six formulas, mostly t:B with a
+    term built by ., + and ! from x, y and the constants c1 (IPC-1) and c6
+    (IPC-6), some of them s:(p -> q), t:p, s.t:q, where J-App applies."""
+    bodies = ("p", "q", "p -> q", "q -> p", "p -> q -> p", "p /\\ q", "p \\/ q")
+    names = ("x", "y", "c1", "c6")
+    kept = 0
+    while kept < count:
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            body = rng.choice(bodies)
+            kind = rng.random()
+            if kind < 0.2:
+                s, t = (print_term(random_term(rng, 1, names)) for _ in "st")
+                body = f"{s}:(p -> q), {t}:p, ({s}).({t}):q"
+            elif kind < 0.8:
+                body = f"{print_term(random_term(rng, 2, names))}:({body})"
+            parts.append(body)
+        spec = parse_universe(f"universe: {', '.join(parts)}\n", CS)
+        if len(spec.universe) <= 6:
+            kept += 1
+            yield spec
+
+
+def test_canonical_matches_unscreened_reference():
+    """The screen drops no world: on random universes with composite and
+    constant terms, the worlds are those of check_prime on every subset,
+    and every set excluded as unknown is one that the reference leaves
+    undecided too."""
+    kinds = set()
+    for spec in evidence_specs(random.Random(env_seed() * 7919 + 21), 40):
+        u = spec.universe
+        kinds |= {type(t).__name__ for t in close_subterms(
+            a.term for a in u if isinstance(a, Just))}
+        worlds, unknown = unscreened_canonical(u)
+        cm = bounded_canonical_model(u, CS, 4)
+        assert [th.members for th in cm.theories] == worlds, u.formulas
+        assert set(cm.excluded_unknown) <= set(unknown), u.formulas
+    assert kinds >= {"App", "Sum", "Bang", "Constant"}
+
+
+def test_canonical_composite_terms_pinned():
+    """Evidence that chains through application, sum and ! terms: the
+    worlds are pinned by the SHA-256 of the printed model, and the
+    evidence closure rejects every candidate that the oracle cannot
+    decide, so none is excluded as unknown."""
+    spec = parse_universe("universe: x:(p -> q), y:p, x.y:q, x + y:p, "
+                          "!x:x:p, (x + y).y:q, x:p\n", CS)
+    cm = bounded_canonical_model(spec.universe, CS, 4)
+    assert len(spec.universe) == 10 and len(cm.model.worlds) == 50
+    assert hashlib.sha256(print_model(cm.model).encode()).hexdigest() == (
+        "7df19c89ed6de4926f4a4e8c5bd024a9282045593786064fd64bdb18f48a052e")
+    assert cm.excluded_unknown == ()
+
+
+def test_canonical_screen_memory_is_bounded(monkeypatch):
+    """The screen judges 2 ** 20 subsets in blocks, so its masks stay
+    small: on 20 formulas (a J-4 chain over x:p, which leaves three
+    candidates) it peaks under a mebibyte, with check_prime stubbed."""
+    term, f = "x", "x:p"
+    for _ in range(18):
+        term = "!" + term
+        f = f"{term}:{f}"
+    u = parse_universe(f"universe: {f}\n", CS).universe
+    assert len(u) == 20
+    candidates = []
+
+    def stub(th, cs):
+        candidates.append(th.members)
+        return PrimeVerdict("not_prime" if th.members else "prime")
+
+    monkeypatch.setattr(saturation, "check_prime", stub)
+    tracemalloc.start()
+    try:
+        cm = bounded_canonical_model(u, CS, 4, cap=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in candidates] == [0, 1, 20]
+    assert cm.model.worlds == ("Δ0",)
+    assert peak < 2 ** 20
 
 
 # --- universe files ---------------------------------------------------------
