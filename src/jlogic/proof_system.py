@@ -835,16 +835,21 @@ def bounded_derive(
     """Search for a Hilbert proof of goal from hyps within depth k.
 
     Derivable carries a checking proof whose hypothesis list is hyps in
-    the given order.  UnknownAtBound means the search discipline found no
-    proof within the bound; it is not a non-derivability certificate.
-    The result is monotone in k.  Raises ValueError for a k below 0 or
-    above MAX_DEPTH.
+    the given order.  A goal among the hypotheses is answered before any
+    search, with the one-step hyp proof that cites its first occurrence,
+    the proof the search would find.  UnknownAtBound means the search
+    discipline found no proof within the bound; it is not a
+    non-derivability certificate.  The result is monotone in k.  Raises
+    ValueError for a k below 0 or above MAX_DEPTH.
     """
     if k < 0:
         raise ValueError("bound must be nonnegative")
     if k > MAX_DEPTH:
         raise ValueError(f"bound must be at most {MAX_DEPTH}")
     hyp_tuple = tuple(hyps)
+    if goal in hyp_tuple:
+        step = ProofStep(goal, Hypothesis(hyp_tuple.index(goal)))
+        return Derivable(Proof(hyp_tuple, (step,)))
     # The pool order decides which proof is found and, since memoized
     # proofs ignore depth, which sequents succeed at a given bound.
     pool = tuple(

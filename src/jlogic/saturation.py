@@ -115,7 +115,9 @@ class DerivabilityOracle:
     countermodel has no checking proof, and the full search enumerates
     one-world models first, so a one-world hit is its first model too.
     A goal among the hypotheses is derivable, so it skips the search
-    that cannot succeed.  Answers are memoized per sequent."""
+    that cannot succeed, and bounded_derive answers it with the one-step
+    hyp proof before any proof search.  The curried implication is built
+    only for a countermodel search.  Answers are memoized per sequent."""
 
     def __init__(self, cs: ConstantSpecification, depth: int):
         self.cs = cs
@@ -128,17 +130,18 @@ class DerivabilityOracle:
         if key in self.cache:
             return self.cache[key]
         ordered = tuple(sorted(hyps, key=formula_key))
-        chain = goal
-        for h in reversed(ordered):
-            chain = Implies(h, chain)
         found = None
         if goal not in hyps:
+            chain = goal
+            for h in reversed(ordered):
+                chain = Implies(h, chain)
             found = find_countermodel(chain, 1, ORACLE_EVIDENCE_BUDGET, self.cs)
         if found is None:
             result = bounded_derive(ordered, goal, self.cs, self.depth)
             if isinstance(result, Derivable):
                 self.cache[key] = result
                 return result
+            # a goal among the hypotheses never gets here, so chain is bound
             found = find_countermodel(
                 chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
             )
@@ -423,6 +426,17 @@ def bounded_canonical_model(
     model = BasicEvaluation(names, order, atoms, base_evidence=evidence,
                             formula_universe=u.formulas, cs=cs)
     return CanonicalModel(model, tuple(worlds), tuple(verdicts), tuple(excluded))
+
+
+def check_truth_lemma(cm: CanonicalModel) -> list[tuple[str, Formula]]:
+    """The bounded truth lemma, "A ∈ Δ iff Δ ⊩ A", over every world Δ of
+    cm and every formula A of its universe: the (world, formula) pairs
+    where membership and truth disagree, in world order and then universe
+    order.  An empty list means the lemma holds."""
+    return [(w, a)
+            for w, th in zip(cm.model.worlds, cm.theories)
+            for a in th.universe
+            if (a in th.members) != evaluate_truth(cm.model, w, a)]
 
 
 # ---------------------------------------------------------------------------

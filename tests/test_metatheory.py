@@ -5,6 +5,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from jlogic import proof_system
 
@@ -25,6 +26,7 @@ from jlogic.proof_system import (
     Proof,
     ProofStep,
     UnknownAtBound,
+    _Searcher,
     bounded_derive,
     check_proof,
     deduce,
@@ -32,15 +34,21 @@ from jlogic.proof_system import (
     match_axiom,
     parse_cs,
     print_proof,
+    with_hypotheses,
 )
 from jlogic.syntax import (
+    FALSUM,
+    And,
     App,
     Atom,
+    Bang,
     Constant,
     Implies,
     Just,
+    Or,
     Variable,
     close_subformulas,
+    formula_key,
     formula_terms,
     parse_formula,
 )
@@ -338,6 +346,40 @@ def test_bounded_derive_long_proof_pinned():
     assert len(result.proof.steps) == 161
     text = print_proof(result.proof).encode()
     assert hashlib.sha256(text).hexdigest() == LONG_PROOF_SHA256
+
+
+terms = st.recursive(
+    st.sampled_from([x, y, Constant("c1")]),
+    lambda inner: st.one_of(st.builds(App, inner, inner), st.builds(Bang, inner)),
+    max_leaves=4,
+)
+
+formulas = st.recursive(
+    st.sampled_from([p, q, r, FALSUM]),
+    lambda inner: st.one_of(
+        st.builds(Implies, inner, inner),
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Just, terms, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.lists(formulas, min_size=1, max_size=4), st.data())
+def test_bounded_derive_goal_among_hypotheses(distinct, data):
+    # drawn from a few formulas, so hypotheses repeat
+    hyps = tuple(data.draw(st.lists(st.sampled_from(distinct), min_size=1,
+                                    max_size=6)))
+    goal = data.draw(st.sampled_from(hyps))
+    pool = tuple(sorted(close_subformulas(set(hyps) | {goal}), key=formula_key))
+    for k in (0, 4):
+        searched = _Searcher(pool, CS).derive(frozenset(hyps), goal, k)
+        assert bounded_derive(hyps, goal, CS, k) == Derivable(
+            with_hypotheses(searched, hyps))
+    for k in (-1, MAX_DEPTH + 1):
+        with pytest.raises(ValueError):
+            bounded_derive(hyps, goal, CS, k)
 
 
 def test_bounded_derive_sorts_only_the_pool(monkeypatch):

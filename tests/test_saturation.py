@@ -9,14 +9,16 @@ from importlib import resources
 
 import pytest
 
-from jlogic import saturation
+from jlogic import proof_system, saturation
 from jlogic.generators import env_seed, random_formula, random_term
 from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
-    bounded_derive,
+    UnknownAtBound,
+    _Searcher,
     check_proof,
     print_proof,
+    with_hypotheses,
 )
 from jlogic.semantics import (
     Countermodel,
@@ -38,6 +40,7 @@ from jlogic.saturation import (
     Unknown,
     bounded_canonical_model,
     check_prime,
+    check_truth_lemma,
     inverse_evidence,
     parse_universe,
     prime_saturate,
@@ -52,6 +55,7 @@ from jlogic.syntax import (
     Just,
     Or,
     Variable,
+    close_subformulas,
     close_subterms,
     formula_key,
     formula_terms,
@@ -127,8 +131,15 @@ def test_oracle_refutes_before_proving(monkeypatch):
 
 def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
     calls = counting(monkeypatch, "find_countermodel")
-    cert = DerivabilityOracle(CS, 4).query(frozenset({p}), p)
+
+    def no_search(*args):
+        raise AssertionError("proof search for a goal among the hypotheses")
+
+    monkeypatch.setattr(proof_system, "_Searcher", no_search)
+    cert = DerivabilityOracle(CS, 4).query(frozenset({q, p}), p)
     assert isinstance(cert, Derivable)
+    assert check_proof(cert.proof, CS).ok
+    assert cert.proof.conclusion == p
     assert calls == []
 
 
@@ -160,6 +171,22 @@ def test_prime_positive():
     u = FormulaUniverse.from_formulas([Or(p, q)])
     th = BoundedTheory(u, frozenset({Or(p, q), p}), 4)
     assert check_prime(th, CS).status == "prime"
+
+
+def test_prime_searches_only_outside_the_set(monkeypatch):
+    # one countermodel search per formula outside the set, each settled
+    # at one world; none for a member
+    r = Atom("r")
+    u = FormulaUniverse.from_formulas([Or(p, q), Just(x, p), Implies(q, r)])
+    members = frozenset({Or(p, q), p, Implies(q, r)})
+    calls = counting(monkeypatch, "find_countermodel")
+    assert check_prime(BoundedTheory(u, members, 4), CS).status == "prime"
+    goals = []
+    for chain, worlds, *_ in calls:
+        for _ in members:
+            chain = chain.right
+        goals.append((chain, worlds))
+    assert goals == [(a, 1) for a in u if a not in members]
 
 
 def test_prime_needs_disjunction_property():
@@ -343,16 +370,28 @@ def test_oracle_never_proves_and_refutes_one_sequent():
     assert derived > 20 and refuted > 50
 
 
+def searched_derive(hyps, goal, cs, k):
+    """bounded_derive with no answer before the search: every sequent,
+    a goal among the hypotheses too, goes through _Searcher and
+    with_hypotheses."""
+    pool = tuple(sorted(close_subformulas(set(hyps) | {goal}), key=formula_key))
+    proof = _Searcher(pool, cs).derive(frozenset(hyps), goal, k)
+    if proof is None:
+        return UnknownAtBound(k)
+    return Derivable(with_hypotheses(proof, hyps))
+
+
 def proof_first_query(self, hyps, goal):
-    """DerivabilityOracle.query in the proof-first order: the bounded
-    proof search, then the countermodel search up to ORACLE_MAX_WORLDS
-    worlds, with no one-world search before the proof search."""
+    """DerivabilityOracle.query in the proof-first order: the proof
+    search of searched_derive, then the countermodel search up to
+    ORACLE_MAX_WORLDS worlds, with no one-world search before the proof
+    search."""
     hyps = frozenset(hyps)
     key = (hyps, goal)
     if key in self.cache:
         return self.cache[key]
     ordered = tuple(sorted(hyps, key=formula_key))
-    result = bounded_derive(ordered, goal, self.cs, self.depth)
+    result = searched_derive(ordered, goal, self.cs, self.depth)
     if isinstance(result, Derivable):
         cert = result
     else:
@@ -501,12 +540,23 @@ def test_canonical_truth_lemma_on_shipped_universes():
         cm = bounded_canonical_model(spec.universe, CS, 4)
         assert validate_model(cm.model).ok, path.name
         assert cm.excluded_unknown == ()
-        for i, th in enumerate(cm.theories):
-            w = cm.model.worlds[i]
-            for a in spec.universe:
-                assert (a in th.members) == evaluate_truth(cm.model, w, a), (
-                    path.name, w, print_formula(a),
-                )
+        assert cm.theories, path.name
+        assert all(th.universe == spec.universe for th in cm.theories)
+        assert check_truth_lemma(cm) == [], path.name
+
+
+def test_truth_lemma_reports_disagreements():
+    u = FormulaUniverse.from_formulas([Or(p, q)])
+    cm = bounded_canonical_model(u, CS, 4)
+    assert check_truth_lemma(cm) == []
+    # Δ1 = {p, p \/ q} without p: p holds at Δ1 but is no member, and
+    # p \/ q is a member that still holds
+    bad = BoundedTheory(u, frozenset({Or(p, q)}), 4)
+    cm.theories = (cm.theories[0], bad, *cm.theories[2:])
+    assert check_truth_lemma(cm) == [("Δ1", p)]
+    # Δ0 = {} given q: q is a member where it does not hold
+    cm.theories = (BoundedTheory(u, frozenset({q}), 4), *cm.theories[1:])
+    assert check_truth_lemma(cm) == [("Δ0", q), ("Δ1", p)]
 
 
 def test_canonical_cap():
