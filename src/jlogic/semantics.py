@@ -26,8 +26,9 @@ A model has one frame, built by its constructor: the world positions,
 the order as _Below tables both ways (below for implications, upclose
 for the closure), the mask of every world and the atoms' masks.  The
 closure, the truth masks and validation all read it.  Countermodel
-search gets the same tables once per canonical poset instead, with
-packed ones that judge a block of valuations at once (see _Lanes).
+search gets the same tables once per canonical poset instead, with the
+world names and the order of the models it finds there, and with
+packed tables that judge a block of valuations at once (see _Lanes).
 """
 
 from __future__ import annotations
@@ -172,20 +173,21 @@ class BasicEvaluation:
         self._values: list[int] = []
 
     @classmethod
-    def _found(cls, worlds, order, below, upclose, atom_masks, base_evidence,
-               term_universe, formula_universe, cs, rows, index):
-        """A model that countermodel search built, from inputs that hold
-        what the constructor would make of them: a reflexive order with
-        its below and upclose tables, the atoms as {name: mask}, the base
-        as {world: {term: frozenset}} for every world, and universes that
-        are closed and hold every term of the base and of the t:B
-        formulas.  rows and index are the search's compiled rows of the
-        formula universe, run on the first query."""
+    def _found(cls, poset, atom_masks, base_evidence, term_universe,
+               formula_universe, cs, rows, index):
+        """A model that countermodel search built on a canonical poset,
+        whose world names, order, positions and below and upclose tables
+        it shares, from inputs that hold what the constructor would make
+        of them: the atoms as {name: mask}, the base as {world: {term:
+        frozenset}} for every world, and universes that are closed and
+        hold every term of the base and of the t:B formulas.  rows and
+        index are the search's compiled rows of the formula universe, run
+        on the first query."""
         m = cls.__new__(cls)
-        m.worlds = worlds
-        m._position = {w: i for i, w in enumerate(worlds)}
-        m.order = order
-        m._below, m._upclose = below, upclose
+        m.worlds = worlds = poset.names
+        m._position = poset.position
+        m.order = poset.order
+        m._below, m._upclose = poset.below, poset.upclose
         m._full = (1 << len(worlds)) - 1
         m._atom_masks = atom_masks
         m.atoms = {w: frozenset(p for p, mask in atom_masks.items() if mask >> i & 1)
@@ -452,6 +454,20 @@ def check_validity(m: BasicEvaluation, a: Formula) -> bool:
     return m._mask(a) == m._full
 
 
+def falsifying_world(m: BasicEvaluation, hyps, goal: Formula) -> str | None:
+    """The first world of m, in m.worlds order, where every formula of
+    hyps holds and goal fails, or None if there is none.  Read off the
+    truth masks: the AND of the hypotheses' masks with the complement of
+    the goal's, at its lowest set bit.  Raises as evaluate_truth does."""
+    holds = m._full
+    for h in hyps:
+        holds &= m._mask(h)
+    refuted = holds & ~m._mask(goal)
+    if not refuted:
+        return None
+    return m.worlds[(refuted & -refuted).bit_length() - 1]
+
+
 @dataclass(frozen=True)
 class Violation:
     condition: str
@@ -481,36 +497,41 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     is reported as such.  Collects every violation rather than stopping
     at the first.
 
-    Factivity is one test per evidenced formula A of a term t: the
-    worlds of A's mask in t* where A is false.  Only the failures are
-    sorted, by world position, term_key and formula_key, which is the
-    order of a walk over the worlds, then the sorted terms, then the
-    sorted false formulas."""
+    The order and M1 violations are sorted only when there are some: by
+    order pair, then the world d of a transitivity failure (before the
+    pair's antisymmetry failure) or the lost atom of M1, which is the
+    order of a walk over the sorted pairs, and then the sorted worlds or
+    atoms.  M1 is one set difference per pair.  Factivity is one test
+    per evidenced formula A of a term t: the worlds of A's mask in t*
+    where A is false.  Only the failures are sorted, by world position,
+    term_key and formula_key, which is the order of a walk over the
+    worlds, then the sorted terms, then the sorted false formulas."""
     out: list[Violation] = []
-    rel = m.order
+    rel, position, atoms = m.order, m._position, m.atoms
     for w in m.worlds:
         if (w, w) not in rel:
             out.append(Violation("order-reflexivity", (w,), f"{w} <= {w} missing"))
-    names = sorted(m.worlds)  # sees[w]: the worlds w sees, a mask in name order
-    rank = {w: i for i, w in enumerate(names)}
-    sees = dict.fromkeys(names, 0)
+    sees = [0] * len(m.worlds)  # sees[i]: the worlds that world i sees, a mask
     for a, b in rel:
-        sees[a] |= 1 << rank[b]
-    pairs = sorted(rel)
-    for (a, b) in pairs:
-        missing = sees[b] & ~sees[a]  # each d with b <= d but not a <= d
+        sees[position[a]] |= 1 << position[b]
+    found = []  # (sort key, violation) of the order and M1 failures
+    for a, b in rel:
+        missing = sees[position[b]] & ~sees[position[a]]  # d: b <= d, not a <= d
         while missing:
-            d = names[(missing & -missing).bit_length() - 1]
-            out.append(Violation("order-transitivity", (a, b, d),
-                                 f"{a} <= {b} <= {d} but not {a} <= {d}"))
+            d = m.worlds[(missing & -missing).bit_length() - 1]
+            found.append(((0, a, b, 0, d), Violation(
+                "order-transitivity", (a, b, d),
+                f"{a} <= {b} <= {d} but not {a} <= {d}")))
             missing &= missing - 1
-        if a != b and (b, a) in rel and a < b:
-            out.append(Violation("order-antisymmetry", (a, b),
-                                 f"{a} <= {b} and {b} <= {a}"))
-    for (w, v) in pairs:
-        for p in sorted(m.atoms[w]):
-            if p not in m.atoms[v]:
-                out.append(Violation("M1", (w, v), f"atom {p} lost going up"))
+        if a < b and (b, a) in rel:
+            found.append(((0, a, b, 1), Violation(
+                "order-antisymmetry", (a, b), f"{a} <= {b} and {b} <= {a}")))
+        for p in atoms[a] - atoms[b]:
+            found.append(((1, a, b, p),
+                          Violation("M1", (a, b), f"atom {p} lost going up")))
+    if found:
+        found.sort(key=lambda kv: kv[0])
+        out += [v for _, v in found]
 
     failures = []  # (world position, printed term, printed formula)
     for t, per_term in m.closure().items():
@@ -594,7 +615,11 @@ class _Poset(NamedTuple):
     below[mask] is the mask of the worlds that see some world in mask,
     for implications (see _run); upclose is the _Below table of the
     transposed order, for the closure (see _close).  lanes holds the
-    _Lanes of each inner atom count, built on first use (see _lanes)."""
+    _Lanes of each inner atom count, built on first use (see _lanes),
+    and block_atoms is the most atoms whose valuations fit in one block.
+    names, position and order are what a model found on the poset gets
+    (see BasicEvaluation._found): the worlds w0 .. w(n-1), {name: i},
+    and the order as the frozenset of (name, name) pairs."""
 
     up: tuple[int, ...]
     upsets: tuple[int, ...]
@@ -603,6 +628,10 @@ class _Poset(NamedTuple):
     below: list[int]
     upclose: _Below
     lanes: dict[int, _Lanes]
+    block_atoms: int
+    names: tuple[str, ...]
+    position: dict[str, int]
+    order: frozenset[tuple[str, str]]
 
 
 _POSET_CACHE: dict[int, list[_Poset]] = {}
@@ -638,6 +667,8 @@ def _canonical_posets(n: int) -> list[_Poset]:
     ]
     codes = {min(sum(image[m] << (p[i] * n) for i, m in enumerate(up))
                  for p, image in images) for up in orders}
+    names = tuple(f"w{i}" for i in range(n))
+    position = {w: i for i, w in enumerate(names)}
     out = []
     for code in sorted(codes):
         up = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
@@ -651,8 +682,13 @@ def _canonical_posets(n: int) -> list[_Poset]:
         below = [0]  # grown one world i at a time: the masks below 2 ** (i + 1)
         for seeing_i in seeing:
             below += [b | seeing_i for b in below]
+        block_atoms = 0
+        while len(upsets) ** (block_atoms + 1) <= _BLOCK:
+            block_atoms += 1
+        order = frozenset((names[i], names[j]) for i in range(n) for j in range(n)
+                          if up[i] >> j & 1)
         out.append(_Poset(up, upsets, minima, tuple(map(len, minima)), below,
-                          _Below(seeing), {}))
+                          _Below(seeing), {}, block_atoms, names, position, order))
     _POSET_CACHE[n] = out
     return out
 
@@ -706,11 +742,19 @@ def _seed_assignments(costs, k: int, budget: int):
             stack += [(prefix + (s,), left - costs[s]) for s in reversed(fits)]
 
 
+# The closures of a goal with no t:B subformula: its one seed assignment,
+# the empty one, whose closure is empty, so it has no t:B masks and no
+# factivity needs.
+_NO_SEEDS = (((), (), ()),)
+
+
 def find_countermodel(
     a: Formula,
     max_worlds: int,
     evidence_budget: int = 6,
     cs: ConstantSpecification | None = None,
+    *,
+    min_worlds: int = 1,
 ) -> Countermodel | None:
     """Search for a basic modular model falsifying a at some world.
 
@@ -771,8 +815,22 @@ def find_countermodel(
     the search raises AssertionError if that fails.  So a result
     certifies that a is not a theorem; None means no countermodel exists
     in the searched space, not that a is valid.
+
+    A goal with no t:B subformula has one seed assignment, the empty
+    one, whose closure is empty and known before the search, so the
+    search builds no closure for it (_NO_SEEDS) and its candidates are
+    the valuations alone: where they fit in one block (one world and at
+    most 12 atoms, say), a poset costs one run of the rows and the lowest
+    lane where a fails.  Each canonical poset brings the world names, the
+    positions and the order that a model found on it gets.
+
+    min_worlds, keyword-only, is the world count that the search starts
+    at.  A caller that has already searched the posets of fewer worlds
+    for a, with the same evidence_budget and cs, and found nothing there
+    passes the next count: the first model from there is then the first
+    model from one world.  DerivabilityOracle's fallback starts at two.
     """
-    if max_worlds < 1:
+    if max_worlds < 1 or min_worlds < 1:
         raise ValueError("need at least one world")
     if evidence_budget < 0:
         raise ValueError("the evidence budget must be at least 0")
@@ -785,41 +843,42 @@ def find_countermodel(
             _compile((body,), rows, index)
     f_universe = frozenset(index)  # the subformulas of a
     goal = index[a]
-    # t:B rows, rows below no t:B, and the rows above some t:B, in order;
-    # Atom and Falsum rows name no rows as operands
-    just_rows, free, above_just = [], [], []
-    on_seeds = set()  # the rows of the first and the last kind
-    for row in rows:
-        i, op, left, right = row
-        if op is Just:
-            just_rows.append(row)
-            on_seeds.add(i)
-        elif left in on_seeds or right in on_seeds:
-            above_just.append(row)
-            on_seeds.add(i)
-        else:
-            free.append(row)
-    atom_names = sorted({f.name for f in f_universe if isinstance(f, Atom)})
-    pool = sorted(
-        ((t, b) for _, _, t, b in just_rows),
-        key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
-    )
-    t_universe = close_subterms(t for t, _ in pool)
-    t_order = sorted(t_universe, key=term_size)
+    atom_names = sorted(name for _, op, name, _ in rows if op is Atom)
+    if any(op is Just for _, op, _, _ in rows):
+        # t:B rows, rows below no t:B, and the rows above some t:B, in
+        # order; Atom and Falsum rows name no rows as operands
+        just_rows, free, above_just = [], [], []
+        on_seeds = set()  # the rows of the first and the last kind
+        for row in rows:
+            i, op, left, right = row
+            if op is Just:
+                just_rows.append(row)
+                on_seeds.add(i)
+            elif left in on_seeds or right in on_seeds:
+                above_just.append(row)
+                on_seeds.add(i)
+            else:
+                free.append(row)
+        pool = sorted(
+            ((t, b) for _, _, t, b in just_rows),
+            key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
+        )
+        t_universe = close_subterms(t for t, _ in pool)
+        t_order = sorted(t_universe, key=term_size)
+    else:  # its one closure is empty (see _NO_SEEDS)
+        free, just_rows, above_just, pool, t_order = rows, (), (), (), ()
+        t_universe = frozenset()
 
-    for n in range(1, max_worlds + 1):
-        names = tuple(f"w{i}" for i in range(n))
+    for n in range(min_worlds, max_worlds + 1):
         world_full = (1 << n) - 1
         for poset in _canonical_posets(n):
             upsets = poset.upsets
-            inner = 0
-            while inner < len(atom_names) and len(upsets) ** (inner + 1) <= _BLOCK:
-                inner += 1
+            inner = min(len(atom_names), poset.block_atoms)
             rep, full, below, inner_masks = _lanes(poset, inner)
             outer_names = atom_names[:len(atom_names) - inner]
             inner_names = atom_names[len(outer_names):]
             atoms = dict(zip(inner_names, inner_masks))
-            closures = []
+            closures = [] if pool else _NO_SEEDS
             judged = set()
 
             def seeded():
@@ -857,7 +916,7 @@ def find_countermodel(
                 _run(free, values, atoms, full, below, None)
                 first = None  # (lowest passing bit, its closure, refuted worlds)
                 lower = -1  # the bits of the lanes below the lowest pass
-                for combo, masks, needs in closures if block else seeded():
+                for combo, masks, needs in closures if block or not pool else seeded():
                     if masks:
                         for i, mask in masks:
                             values[i] = mask * rep
@@ -883,25 +942,16 @@ def find_countermodel(
                 atom_masks = dict(zip(outer_names, outer))
                 for p, mask in zip(inner_names, inner_masks):
                     atom_masks[p] = mask >> low & world_full
+                names = poset.names
                 base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
                 for (t, b), s in zip(pool, combo):
                     for i in poset.minima[s]:
                         base[names[i]].setdefault(t, set()).add(b)
-                m = BasicEvaluation._found(
-                    names,
-                    frozenset((names[i], names[j]) for i in range(n)
-                              for j in range(n) if poset.up[i] >> j & 1),
-                    poset.below,
-                    poset.upclose,
-                    atom_masks,
-                    {w: {t: frozenset(fs) for t, fs in per_term.items()}
-                     for w, per_term in base.items()},
-                    t_universe,
-                    f_universe,
-                    cs,
-                    rows,
-                    index,
-                )
+                for per_term in base.values():
+                    for t, fs in per_term.items():
+                        per_term[t] = frozenset(fs)
+                m = BasicEvaluation._found(poset, atom_masks, base, t_universe,
+                                           f_universe, cs, rows, index)
                 verdict = validate_model(m)
                 if not verdict.ok:
                     raise AssertionError(

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import itertools
 import random
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from jlogic import semantics
 from jlogic.cli import main
 from jlogic.generators import random_formula
 from jlogic.proof_system import ConstantSpecification
+from jlogic.saturation import parse_universe
 from jlogic.semantics import (
     BasicEvaluation,
     UniverseNotClosed,
@@ -150,9 +152,6 @@ def test_search_validates_only_the_result(monkeypatch, src, calls):
 
 
 def test_closures_are_built_lazily(monkeypatch):
-    # the first candidate at one world (no atoms true, no seeds) refutes
-    # the goal, so the search closes one seed assignment, not every one
-    # within the budget, before validate_model closes the model it returns
     closes, at_validation = [], []
     real_close, real_validate = semantics._close, semantics.validate_model
 
@@ -166,9 +165,19 @@ def test_closures_are_built_lazily(monkeypatch):
 
     monkeypatch.setattr(semantics, "_close", counting_close)
     monkeypatch.setattr(semantics, "validate_model", counting_validate)
+    # the first candidate at one world (no atoms true, no seeds) refutes
+    # the goal, so the search closes one seed assignment, not every one
+    # within the budget, before validate_model closes the model it returns
     found = find_countermodel(parse_formula("x:" * 22 + "p"), 1)
     assert found is not None and found.world == "w0"
     assert at_validation == [1]
+    # a goal with no t:B has one closure, the empty one, and builds none;
+    # its third valuation refutes it
+    closes.clear()
+    at_validation.clear()
+    found = find_countermodel(parse_formula("p -> q"), 1)
+    assert found is not None and found.world == "w0"
+    assert at_validation == [0]
 
 
 def test_invalid_result_is_an_error(monkeypatch):
@@ -181,6 +190,36 @@ def test_invalid_result_is_an_error(monkeypatch):
 def test_negative_evidence_budget_is_an_error():
     with pytest.raises(ValueError):
         find_countermodel(parse_formula("p"), 1, evidence_budget=-1)
+
+
+@pytest.mark.parametrize("src", ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p",
+                                 "x:p \\/ (x:p -> _|_)"])
+def test_search_from_two_worlds_finds_the_same_first_model(monkeypatch, src):
+    # none of these has a one-world countermodel, so starting at two
+    # worlds changes nothing but the posets visited
+    a = parse_formula(src)
+    assert find_countermodel(a, 1) is None
+    want = find_countermodel(a, 3)
+    visited = []
+    real = semantics._canonical_posets
+
+    def recording(n):
+        visited.append(n)
+        return real(n)
+
+    monkeypatch.setattr(semantics, "_canonical_posets", recording)
+    got = find_countermodel(a, 3, min_worlds=2)
+    assert (got.world, print_model(got.model)) == (want.world, print_model(want.model))
+    assert visited[0] == 2
+
+
+def test_min_worlds_is_keyword_only_and_positive():
+    a = parse_formula("p")
+    with pytest.raises(TypeError):
+        find_countermodel(a, 2, 6, CS, 2)
+    with pytest.raises(ValueError):
+        find_countermodel(a, 2, min_worlds=0)
+    assert find_countermodel(a, 2, min_worlds=3) is None
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -480,6 +519,36 @@ def random_goals(seed, count):
     return [random_formula(rng, 2 + i % 3) for i in range(count)]
 
 
+def oracle_chains(seed, count):
+    """count curried sequents h1 -> ... -> hk -> goal as DerivabilityOracle
+    builds them, the hypotheses in formula_key order: 0-7 hypotheses and
+    a goal outside them, drawn from the universe of a shipped file or of
+    two random formulas."""
+    root = resources.files("jlogic") / "universes"
+    shipped = [parse_universe(path.read_text(), CS).universe.formulas
+               for path in sorted(root.iterdir(), key=lambda e: e.name)
+               if path.name.endswith(".txt")]
+    rng = random.Random(seed)
+    chains = []
+    for i in range(count):
+        if i % 2:
+            formulas = rng.choice(shipped)
+        else:
+            text = ", ".join(str(random_formula(rng, 2, variables=("x", "y")))
+                             for _ in range(2))
+            formulas = parse_universe(f"universe: {text}\n", CS).universe.formulas
+        hyps = rng.sample(formulas, min(rng.randint(0, 7), len(formulas) - 1))
+        chain = rng.choice([a for a in formulas if a not in hyps])
+        for h in sorted(hyps, key=formula_key, reverse=True):
+            chain = Implies(h, chain)
+        chains.append(chain)
+    return chains
+
+
+def has_evidence(a):
+    return any(isinstance(f, Just) for f in subformulas(a))
+
+
 def test_search_matches_reference_evaluator():
     searches = [(a, n, 3) for a in goal_literals() for n in (1, 2)]
     searches += [(a, 1 + i % 2, 3) for i, a in enumerate(random_goals(11, 300))]
@@ -490,6 +559,10 @@ def test_search_matches_reference_evaluator():
         "x:p -> x + y:p",
     ]]
     searches += [(a, 3, 3) for a in random_goals(12, 10)]
+    # the oracle's one-world searches, with and without t:B
+    chains = oracle_chains(13, 300)
+    assert 100 < sum(map(has_evidence, chains)) < 200
+    searches += [(a, 1, 6) for a in chains]
     found = 0
     for a, n, budget in searches:
         got = find_countermodel(a, n, budget)

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from jlogic import proof_system, saturation
+from jlogic import proof_system, saturation, semantics
 from jlogic.generators import env_seed, random_formula, random_term
 from jlogic.proof_system import (
     ConstantSpecification,
@@ -21,8 +21,10 @@ from jlogic.proof_system import (
     with_hypotheses,
 )
 from jlogic.semantics import (
+    BasicEvaluation,
     Countermodel,
     evaluate_truth,
+    falsifying_world,
     find_countermodel,
     print_model,
     validate_model,
@@ -112,9 +114,9 @@ def counting(monkeypatch, name):
     calls = []
     real = getattr(saturation, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(saturation, name, wrapper)
     return calls
@@ -141,6 +143,46 @@ def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
     assert check_proof(cert.proof, CS).ok
     assert cert.proof.conclusion == p
     assert calls == []
+
+
+def test_oracle_fallback_starts_at_two_worlds(monkeypatch):
+    # derivable in IPC, but its proof needs IPC-8: the one-world search
+    # and the proof search fail, and the fallback searches two and three
+    # worlds, not one world again
+    visited = []
+    real = semantics._canonical_posets
+
+    def recording(n):
+        visited.append(n)
+        return real(n)
+
+    monkeypatch.setattr(semantics, "_canonical_posets", recording)
+    goal = parse_formula("_|_ \\/ q -> p -> q")
+    cert = DerivabilityOracle(CS, 4).query(frozenset(), goal)
+    assert isinstance(cert, Unknown)
+    assert visited == [1, 2, 3]
+
+
+def test_witness_is_the_first_falsifying_world(monkeypatch):
+    # both worlds make p true and q false; the witness is the first one
+    # in m.worlds order, not in name order, nor the world the search named
+    m = BasicEvaluation(("w1", "w0"), [("w1", "w1"), ("w0", "w0")],
+                        {"w1": {"p"}, "w0": {"p"}})
+    assert falsifying_world(m, [p, Implies(q, p)], q) == "w1"
+    assert falsifying_world(m, [p], p) is None
+    monkeypatch.setattr(saturation, "find_countermodel",
+                        lambda *args, **kwargs: Countermodel(m, "w0"))
+    cert = DerivabilityOracle(CS, 4).query(frozenset({p}), q)
+    assert cert.countermodel.world == "w1"
+
+
+def test_witness_missing_is_an_error(monkeypatch):
+    # a model on which every world satisfies the sequent refutes nothing
+    m = BasicEvaluation(("w0",), [("w0", "w0")], {"w0": {"p", "q"}})
+    monkeypatch.setattr(saturation, "find_countermodel",
+                        lambda *args, **kwargs: Countermodel(m, "w0"))
+    with pytest.raises(AssertionError):
+        DerivabilityOracle(CS, 4).query(frozenset({p}), q)
 
 
 # --- split_disjunction ------------------------------------------------------
@@ -381,11 +423,18 @@ def searched_derive(hyps, goal, cs, k):
     return Derivable(with_hypotheses(proof, hyps))
 
 
+def first_falsifying_world(m, hyps, goal):
+    """The first world of m where every hypothesis holds and the goal
+    fails, found by evaluate_truth one world and formula at a time."""
+    return next(w for w in m.worlds
+                if holds(m, w, hyps) and not evaluate_truth(m, w, goal))
+
+
 def proof_first_query(self, hyps, goal):
     """DerivabilityOracle.query in the proof-first order: the proof
-    search of searched_derive, then the countermodel search up to
-    ORACLE_MAX_WORLDS worlds, with no one-world search before the proof
-    search."""
+    search of searched_derive, then the countermodel search from one
+    world up to ORACLE_MAX_WORLDS worlds, with no one-world search before
+    the proof search, and the witness found by first_falsifying_world."""
     hyps = frozenset(hyps)
     key = (hyps, goal)
     if key in self.cache:
@@ -407,7 +456,7 @@ def proof_first_query(self, hyps, goal):
                 f"within {ORACLE_MAX_WORLDS} worlds"
             )
         else:
-            witness = saturation._sequent_world(found.model, ordered, goal)
+            witness = first_falsifying_world(found.model, ordered, goal)
             cert = RefutedBySemantics(Countermodel(found.model, witness))
     self.cache[key] = cert
     return cert

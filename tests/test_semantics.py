@@ -428,6 +428,45 @@ def test_validate_order_violations():
     )
 
 
+# str(validate_model(...)) of the model below, as the version that sorted
+# the world names, the order pairs and each pair's atoms on every call
+# printed it
+PINNED_VERDICT = """invalid:
+  order-reflexivity at w4: w4 <= w4 missing
+  order-transitivity at w2,w0,w1: w2 <= w0 <= w1 but not w2 <= w1
+  order-transitivity at w2,w0,w3: w2 <= w0 <= w3 but not w2 <= w3
+  order-transitivity at w2,w0,w4: w2 <= w0 <= w4 but not w2 <= w4
+  order-antisymmetry at w3,w4: w3 <= w4 and w4 <= w3
+  order-transitivity at w4,w3,w4: w4 <= w3 <= w4 but not w4 <= w4
+  M1 at w0,w3: atom p lost going up
+  M1 at w0,w4: atom p lost going up
+  M1 at w2,w0: atom q lost going up
+  M1 at w2,w0: atom r lost going up
+  M1 at w3,w4: atom p0 lost going up
+  M1 at w3,w4: atom p1 lost going up
+  factivity at w0: q in x* but false
+  factivity at w0: r in y* but false
+  factivity at w1: q in x* but false
+  factivity at w4: q in x* but false
+  factivity at w3: q in x* but false"""
+
+
+def test_validate_violation_order_pinned():
+    # world positions run against the names (w4 before w3), the pair
+    # (w2, w0) misses three transitive pairs and loses two atoms, and
+    # (w3, w4) breaks antisymmetry next to (w4, w3)'s transitivity
+    m = BasicEvaluation(
+        ("w2", "w0", "w1", "w4", "w3"),
+        [("w0", "w0"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3"),
+         ("w2", "w0"), ("w0", "w1"), ("w3", "w4"), ("w4", "w3"),
+         ("w0", "w3"), ("w0", "w4")],
+        {"w2": {"r", "p", "q"}, "w0": {"p"}, "w1": {"p"}, "w3": {"p1", "p0"}},
+        base_evidence={"w0": {x: {q}}, "w2": {y: {Atom("r"), p}}},
+    )
+    verdict = validate_model(m)
+    assert str(verdict) == PINNED_VERDICT == reference_validation_text(m)
+
+
 # --- validity ---------------------------------------------------------------
 
 
