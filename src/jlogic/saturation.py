@@ -109,37 +109,31 @@ class DerivabilityOracle:
     a countermodel search on the curried implication at one world comes
     first and answers RefutedBySemantics with a validated model; failing
     that, a bounded proof search answers Derivable with a checkable
-    proof; failing that, the countermodel search from two worlds up to
-    ORACLE_MAX_WORLDS worlds answers RefutedBySemantics; failing all,
-    Unknown.
+    proof; failing that, the countermodel search up to ORACLE_MAX_WORLDS
+    worlds answers RefutedBySemantics; failing all, Unknown.
 
     The order cannot change an answer: a sequent with a validated
     countermodel has no checking proof, and the full search enumerates
-    one-world models first, so a one-world hit is its first model too,
-    and after a one-world miss the fallback's first model is the full
-    search's.  A goal among the hypotheses is derivable, so it skips the
-    search that cannot succeed, and bounded_derive answers it with the
-    one-step hyp proof before any proof search.  The curried implication
-    is built only for a countermodel search.  The witness is the first
-    world of the model where the sequent fails (see falsifying_world);
-    AssertionError if there is none.  Answers are memoized per sequent,
-    and each hypothesis set is sorted once per oracle."""
+    one-world models first, so a one-world hit is its first model too.
+    A goal among the hypotheses is derivable, so it skips the search
+    that cannot succeed, and bounded_derive answers it with the one-step
+    hyp proof before any proof search.  The curried implication is built
+    only for a countermodel search.  The witness is the first world of
+    the model where the sequent fails, read off its truth masks (see
+    falsifying_world); AssertionError if there is none.  Answers are
+    memoized per sequent."""
 
     def __init__(self, cs: ConstantSpecification, depth: int):
         self.cs = cs
         self.depth = depth
         self.cache: dict[tuple[frozenset[Formula], Formula], Certificate] = {}
-        self._ordered: dict[frozenset[Formula], tuple[Formula, ...]] = {}
 
     def query(self, hyps, goal: Formula) -> Certificate:
         hyps = frozenset(hyps)
         key = (hyps, goal)
-        cert = self.cache.get(key)
-        if cert is not None:
-            return cert
-        ordered = self._ordered.get(hyps)
-        if ordered is None:
-            ordered = self._ordered[hyps] = tuple(sorted(hyps, key=formula_key))
+        if key in self.cache:
+            return self.cache[key]
+        ordered = tuple(sorted(hyps, key=formula_key))
         found = None
         if goal not in hyps:
             chain = goal
@@ -151,12 +145,12 @@ class DerivabilityOracle:
             if isinstance(result, Derivable):
                 self.cache[key] = result
                 return result
-            # a goal among the hypotheses never gets here, so chain is
-            # bound; the one-world posets have just been searched
-            found = find_countermodel(chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET,
-                                      self.cs, min_worlds=2)
+            # a goal among the hypotheses never gets here, so chain is bound
+            found = find_countermodel(
+                chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
+            )
         if found is None:
-            cert = Unknown(
+            cert: Certificate = Unknown(
                 f"no proof at depth {self.depth}; no countermodel "
                 f"within {ORACLE_MAX_WORLDS} worlds"
             )

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from jlogic.proof_system import ConstantSpecification
@@ -458,7 +459,9 @@ def falsifying_world(m: BasicEvaluation, hyps, goal: Formula) -> str | None:
     """The first world of m, in m.worlds order, where every formula of
     hyps holds and goal fails, or None if there is none.  Read off the
     truth masks: the AND of the hypotheses' masks with the complement of
-    the goal's, at its lowest set bit.  Raises as evaluate_truth does."""
+    the goal's, at its lowest set bit.  Raises UniverseNotClosed for a
+    t:B whose t is outside the term universe, and TypeError for what is
+    not a formula."""
     holds = m._full
     for h in hyps:
         holds &= m._mask(h)
@@ -618,8 +621,9 @@ class _Poset(NamedTuple):
     _Lanes of each inner atom count, built on first use (see _lanes),
     and block_atoms is the most atoms whose valuations fit in one block.
     names, position and order are what a model found on the poset gets
-    (see BasicEvaluation._found): the worlds w0 .. w(n-1), {name: i},
-    and the order as the frozenset of (name, name) pairs."""
+    (see BasicEvaluation._found): the worlds w0 .. w(n-1), {name: i}
+    as a read-only mapping, since every such model shares it, and the
+    order as the frozenset of (name, name) pairs."""
 
     up: tuple[int, ...]
     upsets: tuple[int, ...]
@@ -630,7 +634,7 @@ class _Poset(NamedTuple):
     lanes: dict[int, _Lanes]
     block_atoms: int
     names: tuple[str, ...]
-    position: dict[str, int]
+    position: MappingProxyType[str, int]
     order: frozenset[tuple[str, str]]
 
 
@@ -668,7 +672,7 @@ def _canonical_posets(n: int) -> list[_Poset]:
     codes = {min(sum(image[m] << (p[i] * n) for i, m in enumerate(up))
                  for p, image in images) for up in orders}
     names = tuple(f"w{i}" for i in range(n))
-    position = {w: i for i, w in enumerate(names)}
+    position = MappingProxyType({w: i for i, w in enumerate(names)})
     out = []
     for code in sorted(codes):
         up = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
@@ -753,8 +757,6 @@ def find_countermodel(
     max_worlds: int,
     evidence_budget: int = 6,
     cs: ConstantSpecification | None = None,
-    *,
-    min_worlds: int = 1,
 ) -> Countermodel | None:
     """Search for a basic modular model falsifying a at some world.
 
@@ -823,14 +825,8 @@ def find_countermodel(
     most 12 atoms, say), a poset costs one run of the rows and the lowest
     lane where a fails.  Each canonical poset brings the world names, the
     positions and the order that a model found on it gets.
-
-    min_worlds, keyword-only, is the world count that the search starts
-    at.  A caller that has already searched the posets of fewer worlds
-    for a, with the same evidence_budget and cs, and found nothing there
-    passes the next count: the first model from there is then the first
-    model from one world.  DerivabilityOracle's fallback starts at two.
     """
-    if max_worlds < 1 or min_worlds < 1:
+    if max_worlds < 1:
         raise ValueError("need at least one world")
     if evidence_budget < 0:
         raise ValueError("the evidence budget must be at least 0")
@@ -843,33 +839,29 @@ def find_countermodel(
             _compile((body,), rows, index)
     f_universe = frozenset(index)  # the subformulas of a
     goal = index[a]
+    # t:B rows, rows below no t:B, and the rows above some t:B, in order;
+    # Atom and Falsum rows name no rows as operands
+    just_rows, free, above_just = [], [], []
+    on_seeds = set()  # the rows of the first and the last kind
+    for row in rows:
+        i, op, left, right = row
+        if op is Just:
+            just_rows.append(row)
+            on_seeds.add(i)
+        elif left in on_seeds or right in on_seeds:
+            above_just.append(row)
+            on_seeds.add(i)
+        else:
+            free.append(row)
     atom_names = sorted(name for _, op, name, _ in rows if op is Atom)
-    if any(op is Just for _, op, _, _ in rows):
-        # t:B rows, rows below no t:B, and the rows above some t:B, in
-        # order; Atom and Falsum rows name no rows as operands
-        just_rows, free, above_just = [], [], []
-        on_seeds = set()  # the rows of the first and the last kind
-        for row in rows:
-            i, op, left, right = row
-            if op is Just:
-                just_rows.append(row)
-                on_seeds.add(i)
-            elif left in on_seeds or right in on_seeds:
-                above_just.append(row)
-                on_seeds.add(i)
-            else:
-                free.append(row)
-        pool = sorted(
-            ((t, b) for _, _, t, b in just_rows),
-            key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
-        )
-        t_universe = close_subterms(t for t, _ in pool)
-        t_order = sorted(t_universe, key=term_size)
-    else:  # its one closure is empty (see _NO_SEEDS)
-        free, just_rows, above_just, pool, t_order = rows, (), (), (), ()
-        t_universe = frozenset()
+    pool = sorted(
+        ((t, b) for _, _, t, b in just_rows),
+        key=lambda tb: (term_key(tb[0]), formula_key(tb[1])),
+    )
+    t_universe = close_subterms(t for t, _ in pool)
+    t_order = sorted(t_universe, key=term_size)
 
-    for n in range(min_worlds, max_worlds + 1):
+    for n in range(1, max_worlds + 1):
         world_full = (1 << n) - 1
         for poset in _canonical_posets(n):
             upsets = poset.upsets
@@ -916,7 +908,7 @@ def find_countermodel(
                 _run(free, values, atoms, full, below, None)
                 first = None  # (lowest passing bit, its closure, refuted worlds)
                 lower = -1  # the bits of the lanes below the lowest pass
-                for combo, masks, needs in closures if block or not pool else seeded():
+                for combo, masks, needs in closures or seeded():
                     if masks:
                         for i, mask in masks:
                             values[i] = mask * rep
@@ -947,11 +939,17 @@ def find_countermodel(
                 for (t, b), s in zip(pool, combo):
                     for i in poset.minima[s]:
                         base[names[i]].setdefault(t, set()).add(b)
-                for per_term in base.values():
-                    for t, fs in per_term.items():
-                        per_term[t] = frozenset(fs)
-                m = BasicEvaluation._found(poset, atom_masks, base, t_universe,
-                                           f_universe, cs, rows, index)
+                m = BasicEvaluation._found(
+                    poset,
+                    atom_masks,
+                    {w: {t: frozenset(fs) for t, fs in per_term.items()}
+                     for w, per_term in base.items()},
+                    t_universe,
+                    f_universe,
+                    cs,
+                    rows,
+                    index,
+                )
                 verdict = validate_model(m)
                 if not verdict.ok:
                     raise AssertionError(

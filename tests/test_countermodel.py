@@ -192,36 +192,6 @@ def test_negative_evidence_budget_is_an_error():
         find_countermodel(parse_formula("p"), 1, evidence_budget=-1)
 
 
-@pytest.mark.parametrize("src", ["p \\/ (p -> _|_)", "((p -> q) -> p) -> p",
-                                 "x:p \\/ (x:p -> _|_)"])
-def test_search_from_two_worlds_finds_the_same_first_model(monkeypatch, src):
-    # none of these has a one-world countermodel, so starting at two
-    # worlds changes nothing but the posets visited
-    a = parse_formula(src)
-    assert find_countermodel(a, 1) is None
-    want = find_countermodel(a, 3)
-    visited = []
-    real = semantics._canonical_posets
-
-    def recording(n):
-        visited.append(n)
-        return real(n)
-
-    monkeypatch.setattr(semantics, "_canonical_posets", recording)
-    got = find_countermodel(a, 3, min_worlds=2)
-    assert (got.world, print_model(got.model)) == (want.world, print_model(want.model))
-    assert visited[0] == 2
-
-
-def test_min_worlds_is_keyword_only_and_positive():
-    a = parse_formula("p")
-    with pytest.raises(TypeError):
-        find_countermodel(a, 2, 6, CS, 2)
-    with pytest.raises(ValueError):
-        find_countermodel(a, 2, min_worlds=0)
-    assert find_countermodel(a, 2, min_worlds=3) is None
-
-
 # --- enumeration ---------------------------------------------------------------
 
 

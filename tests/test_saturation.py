@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from jlogic import proof_system, saturation, semantics
+from jlogic import proof_system, saturation
 from jlogic.generators import env_seed, random_formula, random_term
 from jlogic.proof_system import (
     ConstantSpecification,
@@ -114,9 +114,9 @@ def counting(monkeypatch, name):
     calls = []
     real = getattr(saturation, name)
 
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
     monkeypatch.setattr(saturation, name, wrapper)
     return calls
@@ -145,24 +145,6 @@ def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
     assert calls == []
 
 
-def test_oracle_fallback_starts_at_two_worlds(monkeypatch):
-    # derivable in IPC, but its proof needs IPC-8: the one-world search
-    # and the proof search fail, and the fallback searches two and three
-    # worlds, not one world again
-    visited = []
-    real = semantics._canonical_posets
-
-    def recording(n):
-        visited.append(n)
-        return real(n)
-
-    monkeypatch.setattr(semantics, "_canonical_posets", recording)
-    goal = parse_formula("_|_ \\/ q -> p -> q")
-    cert = DerivabilityOracle(CS, 4).query(frozenset(), goal)
-    assert isinstance(cert, Unknown)
-    assert visited == [1, 2, 3]
-
-
 def test_witness_is_the_first_falsifying_world(monkeypatch):
     # both worlds make p true and q false; the witness is the first one
     # in m.worlds order, not in name order, nor the world the search named
@@ -171,7 +153,7 @@ def test_witness_is_the_first_falsifying_world(monkeypatch):
     assert falsifying_world(m, [p, Implies(q, p)], q) == "w1"
     assert falsifying_world(m, [p], p) is None
     monkeypatch.setattr(saturation, "find_countermodel",
-                        lambda *args, **kwargs: Countermodel(m, "w0"))
+                        lambda *args: Countermodel(m, "w0"))
     cert = DerivabilityOracle(CS, 4).query(frozenset({p}), q)
     assert cert.countermodel.world == "w1"
 
@@ -180,7 +162,7 @@ def test_witness_missing_is_an_error(monkeypatch):
     # a model on which every world satisfies the sequent refutes nothing
     m = BasicEvaluation(("w0",), [("w0", "w0")], {"w0": {"p", "q"}})
     monkeypatch.setattr(saturation, "find_countermodel",
-                        lambda *args, **kwargs: Countermodel(m, "w0"))
+                        lambda *args: Countermodel(m, "w0"))
     with pytest.raises(AssertionError):
         DerivabilityOracle(CS, 4).query(frozenset({p}), q)
 
