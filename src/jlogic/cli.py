@@ -37,6 +37,7 @@ from jlogic.saturation import (
     prime_saturate,
 )
 from jlogic.semantics import (
+    MAX_WORLDS,
     UniverseNotClosed,
     evaluate_truth,
     find_countermodel,
@@ -179,10 +180,9 @@ def cmd_countermodel(args, stdout) -> int:
               {"found": False, "max_worlds": args.max_worlds,
                "budget": args.budget})
         return 1
-    text = f"# false at: {found.world}\n" + print_model(found.model)
-    _emit(args, stdout, text.rstrip("\n"),
-          {"found": True, "world": found.world,
-           "model": print_model(found.model)})
+    model = print_model(found.model)
+    _emit(args, stdout, f"# false at: {found.world}\n" + model.rstrip("\n"),
+          {"found": True, "world": found.world, "model": model})
     return 0
 
 
@@ -238,19 +238,12 @@ def cmd_canonical(args, stdout) -> int:
     cm = bounded_canonical_model(
         spec.universe, cs, args.depth, cap=args.cap
     )
-    world_lines = []
-    for i, th in enumerate(cm.theories):
-        members = ", ".join(sorted(map(print_formula, th.members)))
-        world_lines.append(f"{cm.model.worlds[i]} = {{{members}}}")
-    summary_lines = world_lines + [
-        f"excluded unknown sets: {len(cm.excluded_unknown)}"
-    ]
+    worlds = [{"name": w, "members": sorted(map(print_formula, th.members))}
+              for w, th in zip(cm.model.worlds, cm.theories)]
+    summary_lines = [f"{w['name']} = {{{', '.join(w['members'])}}}" for w in worlds]
+    summary_lines.append(f"excluded unknown sets: {len(cm.excluded_unknown)}")
     payload = {
-        "worlds": [
-            {"name": cm.model.worlds[i],
-             "members": sorted(map(print_formula, th.members))}
-            for i, th in enumerate(cm.theories)
-        ],
+        "worlds": worlds,
         "excluded_unknown": [
             sorted(map(print_formula, s))
             for s in cm.excluded_unknown
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("countermodel", "search for a finite model refuting a formula")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=_int_in(1, 5), default=3)
+    p.add_argument("--max-worlds", type=_int_in(1, MAX_WORLDS), default=3)
     p.add_argument("--budget", type=_int_in(0), default=6)
     p.add_argument("--cs", default=None)
 

@@ -192,6 +192,14 @@ def test_negative_evidence_budget_is_an_error():
         find_countermodel(parse_formula("p"), 1, evidence_budget=-1)
 
 
+def test_world_bound_above_max_worlds_is_an_error(monkeypatch):
+    # raised before any poset of any size is enumerated
+    monkeypatch.setattr(semantics, "_canonical_posets", None)
+    assert semantics.MAX_WORLDS == 5
+    with pytest.raises(ValueError):
+        find_countermodel(parse_formula("p -> p"), semantics.MAX_WORLDS + 1)
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -258,7 +266,8 @@ def test_upsets_and_minima_match_definitions(n):
                          if any((i, j) in rel for j in members))
             seen = sum(1 << i for i in range(n)
                        if any((j, i) in rel for j in members))
-            assert (poset.below[mask], poset.upclose[mask]) == (seeing, seen), mask
+            assert (poset.frame._below[mask], poset.frame._upclose[mask]) \
+                == (seeing, seen), mask
 
 
 def block_atoms(poset, atom_count):
@@ -280,7 +289,7 @@ def test_packed_below_matches_below_lane_by_lane(n):
             masks = [rng.randrange(1 << n) for _ in range(count)]
             packed = lanes.below[sum(m << (n * v) for v, m in enumerate(masks))]
             assert [packed >> (n * v) & (1 << n) - 1 for v in range(count)] \
-                == [poset.below[m] for m in masks]
+                == [poset.frame._below[m] for m in masks]
             assert packed < 1 << n * count
 
 
@@ -660,3 +669,25 @@ def test_many_atoms_refuted_at_one_world_return_at_once(monkeypatch):
     found = find_countermodel(goal, 5)
     assert found is not None and found.model.worlds == ("w0",)
     assert len(runs) == 1
+
+
+def test_found_models_have_the_constructors_frame():
+    searches = [(src, n) for src in refutable for n in (1, 2, 3)]
+    searches += [(src, n) for src, n, where, _ in BLOCK_GOALS
+                 if where is not None and n <= 3]
+    checked = 0
+    for src, n in searches:
+        found = find_countermodel(parse_formula(src), n)
+        if found is None:
+            continue
+        checked += 1
+        m = found.model
+        rebuilt = BasicEvaluation(m.worlds, m.order, m.atoms, m.base_evidence,
+                                  m.term_universe, m.formula_universe, m.cs)
+        assert rebuilt == m, src
+        assert (rebuilt._position, rebuilt._full) == (m._position, m._full), src
+        for mask in range(1 << len(m.worlds)):
+            assert (rebuilt._below[mask], rebuilt._upclose[mask]) \
+                == (m._below[mask], m._upclose[mask]), (src, mask)
+        assert str(validate_model(rebuilt)) == str(validate_model(m)), src
+    assert checked == len(searches) - 3  # three goals need two worlds

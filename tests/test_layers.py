@@ -2,7 +2,9 @@
 jlogic.syntax, whose file front end and parse tables the readers share.
 And the inventory of the recursion in the package: the cycles of each
 module's call graph, each with what bounds its depth; no module reads or
-moves the recursion limit, or walks its own stack."""
+moves the recursion limit, or walks its own stack.  And one frame
+builder: only BasicEvaluation's constructor builds the order tables of a
+world frame."""
 
 import ast
 import sys
@@ -193,3 +195,45 @@ def test_call_graph_finds_mutual_recursion():
     assert cycles(call_graph(tree, "m")) == {
         ("m.even", "m.odd"), ("m.step", "m.twice", "m.walk"),
         ("m.Tree.down", "m.Tree.up")}
+
+
+# The functions that may build an order table: the model constructor the
+# unpacked ones, for every frame in the package, and _lanes the packed ones.
+FRAME_BUILDERS = {
+    "_Below": "semantics.BasicEvaluation.__init__",
+    "_LaneBelow": "semantics._lanes",
+}
+
+
+def callers(tree, module, names):
+    """(name, caller) for each call of one of names in a module: the
+    qualified name of the function whose body holds the call, or the
+    module's own name for a call outside every function."""
+    owner = {}
+    for name, fn, _, _ in functions(tree, f"{module}.", {}, None):
+        for node in own_nodes(fn):
+            owner[node] = name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if called in names:
+                yield called, owner.get(node, module)
+
+
+def test_only_the_model_constructor_builds_a_frame():
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= set(callers(tree, path.stem, FRAME_BUILDERS))
+    assert found == set(FRAME_BUILDERS.items())
+
+
+def test_callers_name_the_enclosing_function():
+    tree = ast.parse(
+        "class M:\n    def __init__(self):\n        self.t = T(1)\n"
+        "def f():\n    def g():\n        return m.T(2)\n    return g\n"
+        "TABLE = T(3)\n")
+    assert sorted(callers(tree, "m", {"T"})) == [
+        ("T", "m"), ("T", "m.M.__init__"), ("T", "m.f.g")]
