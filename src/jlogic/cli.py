@@ -207,13 +207,12 @@ def cmd_saturate(args, stdout) -> int:
     th = prime_saturate(spec.base, goal, spec.universe, cs, args.depth)
     verdict = check_prime(th, cs)
     members = sorted(map(print_formula, th.members))
-    lines = []
-    for step in th.trace:
-        cert = _certificate_tag(step.certificate) or "already present"
-        action = "add" if step.added else "skip"
-        lines.append(
-            f"{step.index}. {action} {print_formula(step.candidate)}  [{cert}]"
-        )
+    trace = [{"index": s.index, "candidate": print_formula(s.candidate),
+              "added": s.added, "certificate": _certificate_tag(s.certificate)}
+             for s in th.trace]
+    lines = [f"{row['index']}. {'add' if row['added'] else 'skip'} "
+             f"{row['candidate']}  [{row['certificate'] or 'already present'}]"
+             for row in trace]
     lines.append("members: " + ", ".join(members))
     lines.append(f"verdict: {verdict.status}"
                  + (f" ({verdict.reason})" if verdict.reason else ""))
@@ -223,12 +222,7 @@ def cmd_saturate(args, stdout) -> int:
     _emit(args, stdout, "\n".join(lines),
           {"members": members, "verdict": verdict.status,
            "reason": verdict.reason, "unknown_certificates": unknowns,
-           "trace": [
-               {"index": s.index, "candidate": print_formula(s.candidate),
-                "added": s.added,
-                "certificate": _certificate_tag(s.certificate)}
-               for s in th.trace
-           ]})
+           "trace": trace})
     return 0 if verdict.status == "prime" else 1
 
 

@@ -117,50 +117,40 @@ class DerivabilityOracle:
     one-world models first, so a one-world hit is its first model too.
     A goal among the hypotheses is derivable, so it skips the search
     that cannot succeed, and bounded_derive answers it with the one-step
-    hyp proof before any proof search.  The curried implication is built
-    only for a countermodel search.  The witness is the first world of
-    the model where the sequent fails, read off its truth masks (see
-    falsifying_world); AssertionError if there is none.  Answers are
-    memoized per sequent."""
+    hyp proof before any proof search.  The witness is the first world
+    of the model where the sequent fails, read off its truth masks (see
+    falsifying_world); AssertionError if there is none.  The oracle keeps
+    no answers: its callers record them (BoundedTheory.certificates)."""
 
     def __init__(self, cs: ConstantSpecification, depth: int):
         self.cs = cs
         self.depth = depth
-        self.cache: dict[tuple[frozenset[Formula], Formula], Certificate] = {}
 
     def query(self, hyps, goal: Formula) -> Certificate:
         hyps = frozenset(hyps)
-        key = (hyps, goal)
-        if key in self.cache:
-            return self.cache[key]
         ordered = tuple(sorted(hyps, key=formula_key))
-        found = None
-        if goal not in hyps:
-            chain = goal
-            for h in reversed(ordered):
-                chain = Implies(h, chain)
-            found = find_countermodel(chain, 1, ORACLE_EVIDENCE_BUDGET, self.cs)
+        if goal in hyps:
+            return bounded_derive(ordered, goal, self.cs, self.depth)
+        chain = goal
+        for h in reversed(ordered):
+            chain = Implies(h, chain)
+        found = find_countermodel(chain, 1, ORACLE_EVIDENCE_BUDGET, self.cs)
         if found is None:
             result = bounded_derive(ordered, goal, self.cs, self.depth)
             if isinstance(result, Derivable):
-                self.cache[key] = result
                 return result
-            # a goal among the hypotheses never gets here, so chain is bound
             found = find_countermodel(
                 chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
             )
-        if found is None:
-            cert: Certificate = Unknown(
-                f"no proof at depth {self.depth}; no countermodel "
-                f"within {ORACLE_MAX_WORLDS} worlds"
-            )
-        else:
-            witness = falsifying_world(found.model, ordered, goal)
-            if witness is None:
-                raise AssertionError("countermodel does not falsify the sequent")
-            cert = RefutedBySemantics(Countermodel(found.model, witness))
-        self.cache[key] = cert
-        return cert
+            if found is None:
+                return Unknown(
+                    f"no proof at depth {self.depth}; no countermodel "
+                    f"within {ORACLE_MAX_WORLDS} worlds"
+                )
+        witness = falsifying_world(found.model, ordered, goal)
+        if witness is None:
+            raise AssertionError("countermodel does not falsify the sequent")
+        return RefutedBySemantics(Countermodel(found.model, witness))
 
 
 @dataclass(frozen=True)

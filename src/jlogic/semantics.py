@@ -122,7 +122,7 @@ class BasicEvaluation:
         if len(self._position) != len(self.worlds):
             raise ValueError("duplicate world names")
         self.order: frozenset[tuple[str, str]] = frozenset(
-            (str(a), str(b)) for a, b in order
+            (a, b) for a, b in order
         )
         up = [0] * len(self.worlds)  # up[i]: the worlds that world i sees
         seeing = [0] * len(self.worlds)  # seeing[j]: the worlds that see world j
@@ -400,9 +400,8 @@ def _close(full, upclose, base, terms, formula_universe, cs):
         provisional = dict(base.get(t, ()))
         kind = type(t)
         if kind is Constant:
-            for a in formula_universe:
-                if cs.covers(t.name, a):
-                    provisional[a] = full
+            for a in cs.instances_for(t.name, formula_universe):
+                provisional[a] = full
         elif kind is App:
             right = derived[t.right]
             for f, mask in derived[t.left].items():
@@ -971,7 +970,7 @@ def print_model(m: BasicEvaluation) -> str:
     Evidence lines show the base seeds, not the derived closure.  Raises
     ValueError for a world whose name parse_model cannot read back."""
     for w in m.worlds:
-        if not w or _BAD_WORLD.search(w):
+        if not isinstance(w, str) or not w or _BAD_WORLD.search(w):
             raise ValueError(f"world {w!r} cannot be written to a model file")
     lines = ["worlds: " + " ".join(m.worlds)]
     strict = sorted((a, b) for (a, b) in m.order if a != b)

@@ -102,11 +102,15 @@ def test_oracle_refutes_with_witness():
     assert not evaluate_truth(m, w, p)
 
 
-def test_oracle_caches():
+def test_oracle_keeps_no_answers():
     o = DerivabilityOracle(CS, 4)
-    a = o.query(frozenset(), Implies(p, p))
-    b = o.query(frozenset(), Implies(p, p))
-    assert a is b
+    first = o.query(frozenset(), Implies(p, p))
+    assert isinstance(o.query(frozenset({Implies(p, q)}), p), RefutedBySemantics)
+    assert isinstance(o.query(frozenset({q, p}), p), Derivable)
+    assert vars(o) == {"cs": CS, "depth": 4}
+    again = o.query(frozenset(), Implies(p, p))
+    assert isinstance(again, Derivable) and again == first
+    assert check_proof(again.proof, CS).ok
 
 
 def counting(monkeypatch, name):
@@ -418,9 +422,6 @@ def proof_first_query(self, hyps, goal):
     world up to ORACLE_MAX_WORLDS worlds, with no one-world search before
     the proof search, and the witness found by first_falsifying_world."""
     hyps = frozenset(hyps)
-    key = (hyps, goal)
-    if key in self.cache:
-        return self.cache[key]
     ordered = tuple(sorted(hyps, key=formula_key))
     result = searched_derive(ordered, goal, self.cs, self.depth)
     if isinstance(result, Derivable):
@@ -440,7 +441,6 @@ def proof_first_query(self, hyps, goal):
         else:
             witness = first_falsifying_world(found.model, ordered, goal)
             cert = RefutedBySemantics(Countermodel(found.model, witness))
-    self.cache[key] = cert
     return cert
 
 

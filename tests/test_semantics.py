@@ -568,6 +568,16 @@ def test_print_model_rejects_unreadable_world(world):
         print_model(m)
 
 
+def test_world_names_kept_as_given():
+    # the order pairs name the worlds as given, as worlds and atoms do
+    m = BasicEvaluation((0, 1), [(0, 0), (1, 1), (0, 1)], {})
+    assert m.order == {(0, 0), (1, 1), (0, 1)}
+    assert str(validate_model(m)) == "valid"
+    for model in (m, BasicEvaluation((1,), (), {})):
+        with pytest.raises(ValueError, match="cannot be written"):
+            print_model(model)
+
+
 def test_model_file_closes_order():
     text = """worlds: a b c
 order:
