@@ -135,6 +135,10 @@ def cmd_internalize(args, stdout) -> int:
         for part in args.witnesses.split(",")
         if part.strip()
     )
+    if len(witnesses) != len(pi.hypotheses):
+        raise UsageError(
+            f"{len(pi.hypotheses)} hypotheses but {len(witnesses)} witnesses"
+        )
     t, out = internalize(pi, witnesses, cs)
     _write_artifact(args, stdout, "proof", print_proof(out),
                     f"internalized by {print_term(t)}",
@@ -345,11 +349,12 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args, sys.stdout)
-    except (ParseError, FileFormatError, UsageError, OSError) as e:
+    except (ParseError, FileFormatError, UsageError, UniverseNotClosed,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (HypothesisNotFound, NotAppropriate, UniverseNotClosed,
-            FailedPrecondition, CapExceeded, ValueError) as e:
+    except (HypothesisNotFound, NotAppropriate, FailedPrecondition,
+            CapExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -735,14 +735,14 @@ def _combine_mp(major: Proof, minor: Proof) -> Proof:
     return Proof(major.hypotheses, tuple(steps))
 
 
-# The largest depth bound of bounded_derive.  The search recurses two
-# frames per unit of depth (derive, then _introduce or _invert_mp), so
-# 2 * MAX_DEPTH frames and the callers' must fit under the interpreter's
-# recursion limit (tests/test_layers.py checks it).
+# The largest depth bound of bounded_derive.  The search recurses one
+# frame per unit of depth (derive calls itself with k - 1), so MAX_DEPTH
+# frames and the callers' must fit under the interpreter's recursion
+# limit (tests/test_layers.py checks it).
 MAX_DEPTH = 200
 
 
-class _Searcher:
+def _search(pool, cs, hyps, goal, k) -> Proof | None:
     """Backward goal-directed search, memoized, deterministic.
 
     To derive a goal: use a hypothesis, an axiom instance, or a
@@ -756,74 +756,55 @@ class _Searcher:
     ones, and every antecedent that introduction adds.  So every proof
     the search builds has the pool as its hypothesis list.
     """
+    proofs: dict = {}  # (hyps frozenset, goal) -> Proof over the pool
+    failed: dict = {}  # (hyps frozenset, goal) -> highest failed bound
+    # (x, goal) -> Implies(x, goal), built once, so that the memo keys of
+    # a major premise are the same node every time
+    majors: dict = {}
 
-    def __init__(self, pool: tuple[Formula, ...], cs: ConstantSpecification):
-        self.pool = pool
-        self.cs = cs
-        self.proofs: dict = {}  # (hyps frozenset, goal) -> Proof over the pool
-        self.failed: dict = {}  # (hyps frozenset, goal) -> highest failed bound
-        # (x, goal) -> Implies(x, goal), built once, so that the memo keys
-        # of a major premise are the same node every time
-        self.majors: dict = {}
-
-    def derive(self, hyps: frozenset, goal: Formula, k: int) -> Proof | None:
+    def derive(hyps: frozenset, goal: Formula, k: int) -> Proof | None:
         key = (hyps, goal)
-        if key in self.proofs:
-            return self.proofs[key]
-        if self.failed.get(key, -1) >= k:
+        if key in proofs:
+            return proofs[key]
+        if failed.get(key, -1) >= k:
             return None
-
-        proof = self._base_case(hyps, goal)
-        if proof is None and k > 0:
-            proof = self._introduce(hyps, goal, k)
-        if proof is None and k > 0:
-            proof = self._invert_mp(hyps, goal, k)
-
-        if proof is not None:
-            self.proofs[key] = proof
-            return proof
-        self.failed[key] = k
-        return None
-
-    def _base_case(self, hyps: frozenset, goal: Formula) -> Proof | None:
-        pool = self.pool
+        proof = None
         if goal in hyps:
-            return Proof(pool, (ProofStep(goal, Hypothesis(pool.index(goal))),))
-        tag = first_axiom_tag(goal)
-        if tag is not None:
-            return Proof(pool, (ProofStep(goal, AxiomRule(tag)),))
-        if (
+            proof = Proof(pool, (ProofStep(goal, Hypothesis(pool.index(goal))),))
+        elif (tag := first_axiom_tag(goal)) is not None:
+            proof = Proof(pool, (ProofStep(goal, AxiomRule(tag)),))
+        elif (
             isinstance(goal, Just)
             and isinstance(goal.term, Constant)
-            and self.cs.covers(goal.term.name, goal.body)
+            and cs.covers(goal.term.name, goal.body)
         ):
-            return Proof(
+            proof = Proof(
                 pool, (ProofStep(goal, AxiomNecessitation(goal.term.name)),)
             )
+        elif k > 0:
+            if isinstance(goal, Implies):
+                sub = derive(hyps | {goal.left}, goal.right, k - 1)
+                if sub is not None:
+                    proof = with_hypotheses(deduce(sub, goal.left), pool)
+            if proof is None:
+                for x in pool:
+                    minor = derive(hyps, x, k - 1)
+                    if minor is None:
+                        continue
+                    implication = majors.get((x, goal))
+                    if implication is None:
+                        implication = majors[(x, goal)] = Implies(x, goal)
+                    major = derive(hyps, implication, k - 1)
+                    if major is not None:
+                        proof = _combine_mp(major, minor)
+                        break
+        if proof is not None:
+            proofs[key] = proof
+            return proof
+        failed[key] = k
         return None
 
-    def _introduce(self, hyps, goal, k) -> Proof | None:
-        if not isinstance(goal, Implies):
-            return None
-        sub = self.derive(hyps | {goal.left}, goal.right, k - 1)
-        if sub is None:
-            return None
-        return with_hypotheses(deduce(sub, goal.left), self.pool)
-
-    def _invert_mp(self, hyps, goal, k) -> Proof | None:
-        majors = self.majors
-        for x in self.pool:
-            minor = self.derive(hyps, x, k - 1)
-            if minor is None:
-                continue
-            implication = majors.get((x, goal))
-            if implication is None:
-                implication = majors[(x, goal)] = Implies(x, goal)
-            major = self.derive(hyps, implication, k - 1)
-            if major is None:
-                continue
-            return _combine_mp(major, minor)
-        return None
+    return derive(hyps, goal, k)
 
 
 def bounded_derive(
@@ -855,8 +836,7 @@ def bounded_derive(
     pool = tuple(
         sorted(close_subformulas(set(hyp_tuple) | {goal}), key=formula_key)
     )
-    searcher = _Searcher(pool, cs)
-    proof = searcher.derive(frozenset(hyp_tuple), goal, k)
+    proof = _search(pool, cs, frozenset(hyp_tuple), goal, k)
     if proof is None:
         return UnknownAtBound(k)
     return Derivable(with_hypotheses(proof, hyp_tuple))

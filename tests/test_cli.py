@@ -320,6 +320,24 @@ def test_model_eval_unknown_world_exit_2(capsys, tmp_path):
     assert (rc, out, err) == (2, "", "error: unknown world 'nowhere'\n")
 
 
+def test_model_eval_term_outside_universe_exit_2(capsys, tmp_path):
+    # a formula the model cannot judge is no false formula
+    model_file = tmp_path / "m.txt"
+    model_file.write_text("worlds: w0\natoms:\n  w0: p\n")
+    rc, out, err = run(capsys, "model-eval", str(model_file), "w0", "x:p")
+    assert (rc, out, err) == (
+        2, "", "error: term x is outside the term universe\n")
+
+
+def test_internalize_witness_count_exit_2(capsys, tmp_path):
+    pf = tmp_path / "pf.txt"
+    pf.write_text("hypotheses:\n  1. p\n  2. p -> q\n"
+                  "proof:\n  1. p ; hyp 1\n  2. p -> q ; hyp 2\n"
+                  "  3. q ; mp 2,1\n")
+    rc, out, err = run(capsys, "internalize", str(pf), "x")
+    assert (rc, out, err) == (2, "", "error: 2 hypotheses but 1 witnesses\n")
+
+
 def test_countermodel_none_found(capsys):
     rc, out, _ = run(capsys, "countermodel", "x:p -> p")
     assert rc == 1

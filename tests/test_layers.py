@@ -52,9 +52,8 @@ RECURSIVE = {
     ("generators.random_formula_over.go",): "the depth argument",
     ("proof_system._compile",): "the size of an axiom schema",
     ("proof_system._substitute",): "the size of an axiom schema",
-    ("proof_system._Searcher._introduce", "proof_system._Searcher._invert_mp",
-     "proof_system._Searcher.derive"):
-        "the depth bound k, at most MAX_DEPTH, two frames a unit",
+    ("proof_system._search.derive",):
+        "the depth bound k, at most MAX_DEPTH, one frame a unit",
 }
 
 # What a module would call to measure or move the recursion limit.
@@ -75,7 +74,8 @@ def test_no_module_probes_the_stack():
 
 
 def test_depth_bound_fits_the_recursion_limit():
-    # two frames per unit of depth, and room for the callers' frames
+    # one frame per unit of depth, and room for the callers' frames; twice
+    # the bound is more room than the search needs
     assert 2 * MAX_DEPTH + 300 < sys.getrecursionlimit()
 
 

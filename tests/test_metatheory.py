@@ -3,6 +3,7 @@ transformations and their contracts over randomized proofs."""
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,6 @@ from jlogic.proof_system import (
     Proof,
     ProofStep,
     UnknownAtBound,
-    _Searcher,
     bounded_derive,
     check_proof,
     deduce,
@@ -252,6 +252,25 @@ def test_bounded_derive_depth_ceiling():
         bounded_derive(frozenset(), goal, CS, MAX_DEPTH + 1)
 
 
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_bounded_derive_one_frame_per_unit_of_depth():
+    # the whole bound fits in MAX_DEPTH frames past the caller's, and a
+    # few for bounded_derive and the steps that a frame calls
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + MAX_DEPTH + 50)
+    try:
+        result = bounded_derive(frozenset(), Implies(p, q), CS, MAX_DEPTH)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == UnknownAtBound(MAX_DEPTH)
+
+
 def test_bounded_derive_monotone_in_bound():
     cases = [
         (frozenset({Just(x, p)}), p, 2),
@@ -374,7 +393,7 @@ def test_bounded_derive_goal_among_hypotheses(distinct, data):
     goal = data.draw(st.sampled_from(hyps))
     pool = tuple(sorted(close_subformulas(set(hyps) | {goal}), key=formula_key))
     for k in (0, 4):
-        searched = _Searcher(pool, CS).derive(frozenset(hyps), goal, k)
+        searched = proof_system._search(pool, CS, frozenset(hyps), goal, k)
         assert bounded_derive(hyps, goal, CS, k) == Derivable(
             with_hypotheses(searched, hyps))
     for k in (-1, MAX_DEPTH + 1):

@@ -15,7 +15,6 @@ from jlogic.proof_system import (
     ConstantSpecification,
     Derivable,
     UnknownAtBound,
-    _Searcher,
     check_proof,
     print_proof,
     with_hypotheses,
@@ -141,7 +140,7 @@ def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("proof search for a goal among the hypotheses")
 
-    monkeypatch.setattr(proof_system, "_Searcher", no_search)
+    monkeypatch.setattr(proof_system, "_search", no_search)
     cert = DerivabilityOracle(CS, 4).query(frozenset({q, p}), p)
     assert isinstance(cert, Derivable)
     assert check_proof(cert.proof, CS).ok
@@ -400,10 +399,10 @@ def test_oracle_never_proves_and_refutes_one_sequent():
 
 def searched_derive(hyps, goal, cs, k):
     """bounded_derive with no answer before the search: every sequent,
-    a goal among the hypotheses too, goes through _Searcher and
+    a goal among the hypotheses too, goes through _search and
     with_hypotheses."""
     pool = tuple(sorted(close_subformulas(set(hyps) | {goal}), key=formula_key))
-    proof = _Searcher(pool, cs).derive(frozenset(hyps), goal, k)
+    proof = proof_system._search(pool, cs, frozenset(hyps), goal, k)
     if proof is None:
         return UnknownAtBound(k)
     return Derivable(with_hypotheses(proof, hyps))
