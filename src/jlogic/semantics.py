@@ -897,7 +897,7 @@ def find_countermodel(
 
             values = [0] * len(rows)
             outers = itertools.product(upsets, repeat=len(outer_names))
-            for block, outer in enumerate(outers):
+            for outer in outers:
                 for p, s in zip(outer_names, outer):
                     atoms[p] = s * rep
                 _run(free, values, atoms, full, below, None)
@@ -1038,8 +1038,6 @@ def parse_model(
                 raise FileFormatError("duplicate worlds section", lineno)
             worlds = tuple(line.split())
             known = frozenset(worlds)
-            if not worlds:
-                raise FileFormatError("empty worlds list", lineno)
             for w in worlds:
                 if _BAD_WORLD.search(w):
                     raise FileFormatError(f"bad world {w!r}", lineno)

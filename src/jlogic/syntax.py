@@ -221,14 +221,6 @@ _ATOM_RE = re.compile(r"^(p|q|r|p[0-9]+)$")
 _CONSTANT_RE = re.compile(r"^c[0-9]+$")
 
 
-def is_atom_name(name: str) -> bool:
-    return _ATOM_RE.match(name) is not None
-
-
-def is_constant_name(name: str, declared: frozenset[str] = frozenset()) -> bool:
-    return _CONSTANT_RE.match(name) is not None or name in declared
-
-
 # ---------------------------------------------------------------------------
 # Structural utilities
 
@@ -314,10 +306,6 @@ def formula_size(a: Formula) -> int:
 def formula_terms(a: Formula) -> frozenset[Term]:
     """All justification terms occurring in a (at ``:`` positions)."""
     return frozenset(f.term for f in subformulas(a) if isinstance(f, Just))
-
-
-def formula_atoms(a: Formula) -> frozenset[str]:
-    return frozenset(f.name for f in subformulas(a) if isinstance(f, Atom))
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +467,12 @@ def _word_kind(text: str) -> str:
     return "ATOM" if _ATOM_RE.match(text) else "NAME"
 
 
-def _tokenize(src: str, known: _Kinds | None = None) -> tuple[list[str], list[str]]:
+def _tokenize(src: str, known: _Kinds) -> tuple[list[str], list[str]]:
     """The token texts of src and, in a parallel list, their kinds; the
     last is EOF.  known, a parse table's _Kinds, looks each text up
     once per table."""
     texts = _TOKEN_RE.findall(src)
-    if known is not None:
-        return texts, list(map(known.__getitem__, texts))
-    get = _KINDS.get
-    return texts, [get(t) or _word_kind(t) for t in texts]
+    return texts, list(map(known.__getitem__, texts))
 
 
 class _Kinds(dict):
@@ -502,10 +487,7 @@ class _Kinds(dict):
 def identifier_kind(text: str) -> str | None:
     """The kind, "ATOM" or "NAME", that the lexer gives text when it
     reads it as one identifier; None when it does not."""
-    texts, kinds = _tokenize(text)
-    if texts[0] == text and kinds[0] in ("ATOM", "NAME"):
-        return kinds[0]
-    return None
+    return _word_kind(text) if _IDENT_RE.fullmatch(text) else None
 
 
 def _position(src: str, i: int) -> int:
@@ -727,7 +709,8 @@ def _parse(src: str, sort: type, table: _Table):
                 a = table.get(name)
                 if a is None:
                     leaf = (Atom if kind == "ATOM" else
-                            Constant if is_constant_name(name, constants) else Variable)
+                            Constant if _CONSTANT_RE.match(name) or name in constants
+                            else Variable)
                     a = table[name] = leaf(name)
                 i += 1
                 if kind == "NAME" and not term:  # "name :" starts a term

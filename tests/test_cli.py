@@ -344,6 +344,43 @@ def test_countermodel_none_found(capsys):
     assert out == "none found within bounds\n"
 
 
+KB_CS = "kb := x:p -> p\n"
+KB_PROOF = "proof:\n  1. kb:(x:p -> p) ; cs kb\n"
+
+
+def test_check_with_cs_file(capsys, tmp_path):
+    pf, cs = tmp_path / "pf.txt", tmp_path / "kb.cs"
+    pf.write_text(KB_PROOF)
+    cs.write_text(KB_CS)
+    assert run(capsys, "check", str(pf), str(cs)) == (0, "accepted\n", "")
+    assert run(capsys, "check", str(pf)) == (
+        1, "rejected at step 1: NotInCS (conclusion is not of the form kb:A)\n", "")
+
+
+def test_countermodel_with_cs_file(capsys, tmp_path):
+    cs = tmp_path / "kb.cs"
+    cs.write_text(KB_CS)
+    argv = ("countermodel", "kb:(x:p -> p)", "--max-worlds", "1")
+    assert run(capsys, *argv, "--cs", str(cs)) == (1, "none found within bounds\n", "")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out.startswith("# false at: w0\nworlds: w0\n")
+
+
+def test_saturate_prints_unknown(capsys, tmp_path):
+    u = tmp_path / "u.txt"
+    u.write_text("universe: _|_ \\/ q -> p -> q\ngoal: p -> q\n")
+    assert run(capsys, "saturate", str(u)) == (0, (
+        "0. skip _|_  [derivable]\n"
+        "1. skip _|_ \\/ q  [unknown]\n"
+        "2. add _|_ \\/ q -> p -> q  [refuted]\n"
+        "3. add p  [refuted]\n"
+        "4. skip p -> q  [derivable]\n"
+        "5. skip q  [derivable]\n"
+        "members: _|_ \\/ q -> p -> q, p\n"
+        "verdict: prime\n"), "")
+
+
 @pytest.mark.parametrize("argv", [
     ("countermodel", "p", "--max-worlds", "0"),
     ("countermodel", "p", "--max-worlds", "-1"),

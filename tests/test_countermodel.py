@@ -187,6 +187,11 @@ def test_invalid_result_is_an_error(monkeypatch):
         find_countermodel(parse_formula("p"), 1)
 
 
+def test_no_worlds_is_an_error():
+    with pytest.raises(ValueError, match="^need at least one world$"):
+        find_countermodel(parse_formula("p"), 0)
+
+
 def test_negative_evidence_budget_is_an_error():
     with pytest.raises(ValueError):
         find_countermodel(parse_formula("p"), 1, evidence_budget=-1)

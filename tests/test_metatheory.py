@@ -171,6 +171,13 @@ def test_internalize_witness_count_mismatch():
         internalize(pi, (), CS)
 
 
+def test_internalize_rejected_proof():
+    pi = Proof((), (ProofStep(p, AxiomRule("IPC-1")),))
+    with pytest.raises(ValueError, match="^input proof does not check: "
+                       "rejected at step 1: BadAxiom "):
+        internalize(pi, (), CS)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_internalize_random(seed):
     rng = random.Random(1000 + seed)
@@ -221,6 +228,15 @@ def test_bounded_derive_hypothesis_at_zero():
     result = bounded_derive(frozenset({q}), q, CS, 0)
     assert isinstance(result, Derivable)
     assert result.proof.conclusion == q
+
+
+def test_bounded_derive_constant_at_zero():
+    # c1 covers IPC-1 in the schematic CS, so one cs step proves c1:A
+    result = bounded_derive((), F("c1:(p -> q -> p)"), CS, 0)
+    assert isinstance(result, Derivable)
+    assert print_proof(result.proof) == "proof:\n  1. c1:(p -> q -> p) ; cs c1\n"
+    assert check_proof(result.proof, CS).ok
+    assert bounded_derive((), F("c2:(p -> q -> p)"), CS, 0) == UnknownAtBound(0)
 
 
 def test_bounded_derive_peirce_unknown():

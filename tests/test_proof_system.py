@@ -428,11 +428,20 @@ proof:
      "line 2: expected 'N. ...'"),
     (parse_proof, "proof:\n  1. p -> p ; ax IPC-1\n  p ; hyp 1\n", 3,
      "line 3: expected 'N. ...'"),
+    # hypotheses are numbered from 1, and a proof has at least one step
+    (parse_proof, "hypotheses:\n  2. p\nproof:\n  1. p ; hyp 1\n", 2,
+     "line 2: expected hypothesis 1"),
+    (parse_proof, "hypotheses:\n  1. p\n", 1, "line 1: proof has no steps"),
 ])
 def test_proof_and_cs_file_bad_item(parse, text, line, message):
     with pytest.raises(FileFormatError) as exc:
         parse(text)
     assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+def test_instantiate_schema_missing_metavariable():
+    with pytest.raises(ValueError, match=r"^missing metavariables for IPC-1: \['B'\]$"):
+        instantiate_schema("IPC-1", {"A": Atom("p")})
 
 
 # constant names are the lexer's identifiers that are not atoms

@@ -224,6 +224,15 @@ def test_prime_needs_disjunction_property():
     assert "disjunction" in verdict.reason
 
 
+def test_prime_unknown_when_an_exclusion_was_unresolved():
+    u = FormulaUniverse.from_formulas([Or(p, q)])
+    unresolved = {(frozenset(), q): Unknown("no proof within the bound")}
+    th = BoundedTheory(u, frozenset({Or(p, q)}), 4, unresolved)
+    assert str(check_prime(th, CS)) == (
+        "unknown: neither disjunct of p \\/ q is present and "
+        "some exclusions were oracle-unresolved")
+
+
 def test_prime_rejects_falsum():
     u = FormulaUniverse.from_formulas([FALSUM])
     th = BoundedTheory(u, frozenset({FALSUM}), 4)

@@ -553,11 +553,29 @@ def test_model_file_errors():
     ("worlds: a:b c|d\n", 1, "line 1: bad world 'a:b'"),
     ("# x\nworlds: w0 c|d\n", 2, "line 2: bad world 'c|d'"),
     ("worlds: w0 a<=b\n", 1, "line 1: bad world 'a<=b'"),
+    ("order:\n  w0 <= w1\nworlds: w0 w1\n", 2, "line 2: worlds: must come first"),
+    ("worlds: w0 w1\norder:\n  w0 w1\n", 3, "line 3: expected 'w <= v'"),
+    ("worlds: w0\nevidence:\n  w9 | x | p\n", 3, "line 3: unknown world 'w9'"),
+    # a header with no worlds on its line gives no worlds line at all
+    ("worlds:\n", 1, "line 1: missing worlds section"),
 ])
 def test_model_file_bad_item(text, line, message):
     with pytest.raises(FileFormatError) as exc:
         parse_model(text)
     assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+@pytest.mark.parametrize("args,message", [
+    (((), (), {}), "a model needs at least one world"),
+    ((("a", "a"), (), {}), "duplicate world names"),
+    ((("a",), (("a", "b"),), {}), r"order pair \(a, b\) uses an unknown world"),
+    ((("a",), (), {"b": {"p"}}), "atom valuation uses an unknown world b"),
+    ((("a",), (), {}, {"b": {Variable("x"): {Atom("p")}}}),
+     "evidence uses an unknown world b"),
+])
+def test_model_bad_frame(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BasicEvaluation(*args)
 
 
 @pytest.mark.parametrize("world", ["", "a b", "a\tb", "a:b", "c|d", "w#1", "a<=b"])

@@ -5,6 +5,7 @@ import hashlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -31,12 +32,10 @@ from jlogic.syntax import (
     Variable,
     close_subformulas,
     close_subterms,
-    formula_atoms,
     formula_key,
     formula_size,
     formula_terms,
     identifier_kind,
-    is_atom_name,
     parse_formula,
     parse_term,
     print_formula,
@@ -318,23 +317,6 @@ def test_paren_nesting_is_linear(monkeypatch):
         assert calls == [0]
 
 
-def test_formula_atoms_walks_once(monkeypatch):
-    # subformulas already reaches the bodies of t:A; no walk per evidence level
-    calls = []
-    real = syntax.subformulas
-
-    def counting(a):
-        calls.append(a)
-        return real(a)
-
-    monkeypatch.setattr(syntax, "subformulas", counting)
-    a = p
-    for _ in range(20):
-        a = Just(x, a)
-    assert formula_atoms(a) == {"p"}
-    assert len(calls) == 1
-
-
 # --- stored hashes and cached keys -------------------------------------------
 
 
@@ -605,11 +587,14 @@ identifiers = st.one_of(
 )
 
 
+ATOM_NAME = re.compile(r"p|q|r|p[0-9]+")  # the atom rule, stated apart from the lexer
+
+
 @given(identifiers)
 def test_lexer_tells_atoms_from_names(name):
-    texts, kinds = syntax._tokenize(name)
+    texts, kinds = syntax._tokenize(name, syntax._Kinds(syntax._KINDS))
     assert texts[0] == name
-    assert kinds[0] == ("ATOM" if is_atom_name(name) else "NAME")
+    assert kinds[0] == ("ATOM" if ATOM_NAME.fullmatch(name) else "NAME")
     assert identifier_kind(name) == kinds[0]
 
 
@@ -703,6 +688,8 @@ def test_parse_results_pinned():
 
 # --- the parser against the recursive reference -----------------------------
 
+CONSTANT_NAME = re.compile(r"c[0-9]+")  # the constant rule, stated apart from the parser
+
 
 class ReferenceParser:
     """The recursive-descent parser that the loop on an explicit stack
@@ -753,7 +740,7 @@ class ReferenceParser:
         if kind == "NAME":
             self.i = i + 1
             name = self.texts[i]
-            return (Constant if syntax.is_constant_name(name, self.constants)
+            return (Constant if CONSTANT_NAME.fullmatch(name) or name in self.constants
                     else Variable)(name)
         if kind == "LPAR":
             self.i = i + 1
@@ -802,7 +789,7 @@ class ReferenceParser:
 
 
 def reference_parse(src, constants, sort):
-    texts, kinds = syntax._tokenize(src)
+    texts, kinds = syntax._tokenize(src, syntax._Kinds(syntax._KINDS))
     p = ReferenceParser(texts, kinds, constants)
     try:
         if "BAD" in kinds:
@@ -839,7 +826,7 @@ TOKENS = ["(", ")", "->", "/\\", "\\/", "_|_", ".", "!", "+", ":",
 def mutated(rng, src, edits):
     """src as tokens joined by spaces, with edits tokens deleted, inserted
     or replaced."""
-    tokens = syntax._tokenize(src)[0][:-1]
+    tokens = syntax._tokenize(src, syntax._Kinds(syntax._KINDS))[0][:-1]
     for _ in range(edits):
         i = rng.randint(0, len(tokens))
         edit = rng.randrange(3) if i < len(tokens) else 1
