@@ -119,6 +119,9 @@ def cmd_deduce(args, stdout) -> int:
     cs = _load_cs(args.cs)
     pi = parse_proof(_read(args.proof), cs.constants())
     a = parse_formula(args.hypothesis, constants=cs.constants())
+    report = check_proof(pi, cs)
+    if not report.ok:
+        raise ValueError(f"input proof does not check: {report}")
     out = deduce(pi, a)
     _write_artifact(args, stdout, "proof", print_proof(out),
                     f"deduced {print_formula(out.conclusion)}",

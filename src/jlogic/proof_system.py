@@ -195,15 +195,14 @@ def first_axiom_tag(a: Formula) -> str | None:
 
 
 def _substitute(pat, env: dict):
+    """pat with its metavariables replaced from env: a node with parts is
+    rebuilt from its fields, as __reduce__ does, and other leaves kept."""
     if isinstance(pat, (_MetaF, _MetaT)):
         return env[pat.name]
-    if isinstance(pat, (And, Or, Implies, App, Sum)):
-        return type(pat)(_substitute(pat.left, env), _substitute(pat.right, env))
-    if isinstance(pat, Just):
-        return Just(_substitute(pat.term, env), _substitute(pat.body, env))
-    if isinstance(pat, Bang):
-        return Bang(_substitute(pat.inner, env))
-    return pat
+    if not pat._parts:
+        return pat
+    d = pat.__dict__
+    return type(pat)(*[_substitute(d[name], env) for name in pat.__match_args__])
 
 
 def schema_metavariables(tag: str) -> frozenset[str]:

@@ -454,7 +454,7 @@ def parse_universe(
             seeds += formulas
         elif section == "base":
             base += formulas
-        else:
+        elif line:
             if goal is not None or len(formulas) != 1:
                 raise FileFormatError("goal: takes exactly one formula", lineno)
             goal = formulas[0]

@@ -959,10 +959,17 @@ def find_countermodel(
 # Model files
 
 
+# The section heads of a model file; the worlds: section comes first.
+_MODEL_HEADS = ("worlds", "order", "atoms", "evidence", "terms", "formulas")
 # What a world name in a model file may not hold: white space and "#",
 # which end a name or a line, and the separators of the atoms:, evidence:
-# and order: lines.
+# and order: lines.  Nor may it be a section head, which would open a
+# section where it starts an atoms: line.
 _BAD_WORLD = re.compile(r"[\s#:|]|<=")
+
+
+def _bad_world(w: str) -> bool:
+    return w in _MODEL_HEADS or _BAD_WORLD.search(w) is not None
 
 
 def print_model(m: BasicEvaluation) -> str:
@@ -970,7 +977,7 @@ def print_model(m: BasicEvaluation) -> str:
     Evidence lines show the base seeds, not the derived closure.  Raises
     ValueError for a world whose name parse_model cannot read back."""
     for w in m.worlds:
-        if not isinstance(w, str) or not w or _BAD_WORLD.search(w):
+        if not isinstance(w, str) or not w or _bad_world(w):
             raise ValueError(f"world {w!r} cannot be written to a model file")
     lines = ["worlds: " + " ".join(m.worlds)]
     strict = sorted((a, b) for (a, b) in m.order if a != b)
@@ -1030,23 +1037,29 @@ def parse_model(
     formulas: list[Formula] = []
     the_cs = cs if cs is not None else ConstantSpecification.default_schematic()
     table = _Table(the_cs.constants())
+    head = None  # the line of the worlds: header
     for lineno, section, line in _sections(
-            text, ("worlds", "order", "atoms", "evidence", "terms", "formulas"),
-            ("worlds", "terms", "formulas"), "expected a section header"):
+            text, _MODEL_HEADS, ("worlds", "terms", "formulas"),
+            "expected a section header"):
         if section == "worlds":
-            if worlds is not None:
+            if worlds:
                 raise FileFormatError("duplicate worlds section", lineno)
+            head = head or lineno
             worlds = tuple(line.split())
             known = frozenset(worlds)
             for w in worlds:
-                if _BAD_WORLD.search(w):
+                if _bad_world(w):
                     raise FileFormatError(f"bad world {w!r}", lineno)
             if len(known) != len(worlds):
                 repeated = next(w for i, w in enumerate(worlds) if w in worlds[:i])
                 raise FileFormatError(f"duplicate world {repeated!r}", lineno)
             continue
-        if worlds is None:
+        if not line:  # a header whose content is on the lines below
+            continue
+        if head is None:
             raise FileFormatError("worlds: must come first", lineno)
+        if not worlds:
+            raise FileFormatError("empty worlds list", head)
         if section == "order":
             parts = line.split("<=")
             if len(parts) != 2:
@@ -1080,8 +1093,10 @@ def parse_model(
             terms += table.items(lineno, parse_term, line)
         elif section == "formulas":
             formulas += table.items(lineno, parse_formula, line)
-    if worlds is None:
+    if head is None:
         raise FileFormatError("missing worlds section", 1)
+    if not worlds:
+        raise FileFormatError("empty worlds list", head)
     order = transitive_reflexive_closure(worlds, pairs)
     return BasicEvaluation(
         worlds,

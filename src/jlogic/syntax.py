@@ -40,6 +40,10 @@ from typing import NamedTuple
 # ``Falsum`` are each the only node of their shape and keep their own.
 # Node classes are declared with ``eq=False`` so that ``dataclass`` gives
 # them neither a recursive ``__eq__`` nor a recursive field hash.
+# ``_parts`` names a node's fields of its own sort, its immediate subterms
+# or subformulas, in the order the walks push them (the term of ``t:A`` is
+# of the other sort).  ``_Node`` names none, so a node class that states
+# no parts fails in the walks.
 
 _node = dataclass(frozen=True, eq=False)
 
@@ -110,6 +114,7 @@ def _leaf(cls):
 
     cls.__init__ = __init__
     cls.__eq__ = _equal_names
+    cls._parts = ()
     return _node(cls)
 
 
@@ -125,6 +130,7 @@ def _binary(cls):
         d["_hash"] = hash((tag, left._hash, right._hash))
 
     cls.__init__ = __init__
+    cls._parts = ("left", "right")
     return _node(cls)
 
 
@@ -158,6 +164,7 @@ class Sum(Term):
 @_node
 class Bang(Term):
     inner: Term
+    _parts = ("inner",)
 
     def __init__(self, inner: Term):
         d = self.__dict__
@@ -177,6 +184,7 @@ class Atom(Formula):
 
 @_node
 class Falsum(Formula):
+    _parts = ()
 
     def __init__(self):
         d = self.__dict__
@@ -206,6 +214,7 @@ class Implies(Formula):
 class Just(Formula):
     term: Term
     body: Formula
+    _parts = ("body",)
 
     def __init__(self, term: Term, body: Formula):
         d = self.__dict__
@@ -225,82 +234,49 @@ _CONSTANT_RE = re.compile(r"^c[0-9]+$")
 # Structural utilities
 
 
-def close_subterms(terms) -> frozenset[Term]:
-    """Least set containing terms and closed under immediate subterms.
-    One visited set serves every root, so each distinct node is walked
+def _closure(nodes) -> frozenset:
+    """Least set containing nodes and closed under their parts.  One
+    visited set serves every root, so each distinct node is walked
     once."""
     out = set()
-    stack = list(terms)
+    stack = list(nodes)
     while stack:
         cur = stack.pop()
         if cur in out:
             continue
         out.add(cur)
-        if isinstance(cur, (App, Sum)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, Bang):
-            stack.append(cur.inner)
+        d = cur.__dict__
+        for name in cur._parts:
+            stack.append(d[name])
     return frozenset(out)
 
 
-def close_subformulas(formulas) -> frozenset[Formula]:
-    """Least set containing formulas and closed under immediate
-    subformulas, walking each distinct node once."""
-    out = set()
-    stack = list(formulas)
+def _size(root) -> int:
+    """Number of nodes of root as a tree of its parts, counted with an
+    explicit stack; so a t:A counts one for the colon and none for t."""
+    size = 0
+    stack = [root]
     while stack:
         cur = stack.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        if isinstance(cur, (And, Or, Implies)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, Just):
-            stack.append(cur.body)
-    return frozenset(out)
+        size += 1
+        d = cur.__dict__
+        for name in cur._parts:
+            stack.append(d[name])
+    return size
+
+
+close_subterms = close_subformulas = _closure
+term_size = formula_size = _size
 
 
 def subterms(t: Term) -> frozenset[Term]:
     """Least set containing t and closed under immediate subterms."""
-    return close_subterms((t,))
+    return _closure((t,))
 
 
 def subformulas(a: Formula) -> frozenset[Formula]:
     """Least set containing a and closed under immediate subformulas."""
-    return close_subformulas((a,))
-
-
-def term_size(t: Term) -> int:
-    """Number of nodes of t as a tree, counted with an explicit stack."""
-    size = 0
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        size += 1
-        if isinstance(cur, (App, Sum)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, Bang):
-            stack.append(cur.inner)
-    return size
-
-
-def formula_size(a: Formula) -> int:
-    """Number of connectives and leaves of a as a tree, counted with an
-    explicit stack; a t:A counts one for the colon and none for t."""
-    size = 0
-    stack = [a]
-    while stack:
-        cur = stack.pop()
-        size += 1
-        if isinstance(cur, (And, Or, Implies)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, Just):
-            stack.append(cur.body)
-    return size
+    return _closure((a,))
 
 
 def formula_terms(a: Formula) -> frozenset[Term]:
@@ -579,20 +555,19 @@ def _file_lines(text: str):
 
 
 def _sections(text: str, heads, inline, missing: str):
-    """(line number, section, content) for each content line of a file in
-    sections: a line "head: rest" opens section head, and rest, if any, is
-    its first content line, which only the sections inline take.  Content
-    before the first header is a FileFormatError with message missing.
-    (Proof headers are whole lines; parse_proof matches them itself.)"""
+    """(line number, section, content) for each header and content line of
+    a file in sections: a line "head: rest" opens section head, and rest,
+    empty or not, is its first content line; only the sections inline take
+    a rest that is not empty.  Content before the first header is a
+    FileFormatError with message missing.  (Proof headers are whole lines;
+    parse_proof matches them itself.)"""
     section = None
     for lineno, line in _file_lines(text):
         head, sep, rest = line.partition(":")
         if sep and head in heads:
             section = head
             line = rest.strip()
-            if not line:
-                continue
-            if head not in inline:
+            if line and head not in inline:
                 raise FileFormatError(f"section {head}: takes indented lines", lineno)
         elif section is None:
             raise FileFormatError(missing, lineno)

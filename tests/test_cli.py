@@ -208,6 +208,27 @@ def test_deduce_pipeline(capsys, tmp_path):
     assert rc == 0 and out == "accepted\n"
 
 
+# each crashed or wrote a proof that check rejects before deduce checked
+# its input: an mp step past the end (IndexError), a hyp step past the
+# hypotheses (KeyError), and a formula that is no instance of its schema
+@pytest.mark.parametrize("text,report", [
+    ("proof:\n  1. q ; mp 2,3\n",
+     "rejected at step 1: BadIndex (mp references steps 2,3)"),
+    ("hypotheses:\n  1. p\nproof:\n  1. p ; hyp 5\n",
+     "rejected at step 1: BadIndex (no hypothesis 5)"),
+    ("proof:\n  1. p -> p ; ax IPC-1\n",
+     "rejected at step 1: BadAxiom (p -> p is not a IPC-1 instance)"),
+])
+def test_deduce_rejects_unchecked_proof(capsys, tmp_path, text, report):
+    pf = tmp_path / "pf.txt"
+    pf.write_text(text)
+    out_file = tmp_path / "ded.txt"
+    expected = (1, "", f"error: input proof does not check: {report}\n")
+    assert run(capsys, "deduce", str(pf), "q") == expected
+    assert run(capsys, "deduce", str(pf), "q", str(out_file)) == expected
+    assert not out_file.exists()
+
+
 def test_internalize_pipeline(capsys, tmp_path):
     pf = tmp_path / "pf.txt"
     pf.write_text(PROOF)

@@ -93,6 +93,17 @@ def test_every_schema_has_instances():
         assert match_schema(tag, inst) is not None
 
 
+def test_match_inverts_instantiate():
+    # the matcher binds exactly the values the substitution put in
+    rng = random.Random(env_seed() + 28)
+    for tag in AXIOM_TAGS:
+        for _ in range(40):
+            env = {name: random_term(rng, rng.randrange(4)) if name in ("s", "t")
+                   else random_formula(rng, rng.randrange(4))
+                   for name in schema_metavariables(tag)}
+            assert match_schema(tag, instantiate_schema(tag, env)) == env
+
+
 def test_first_axiom_tag_order():
     # ties resolve to the earliest tag in the declared order
     assert first_axiom_tag(F("p /\\ p -> p")) == "IPC-4"

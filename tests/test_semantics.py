@@ -553,11 +553,20 @@ def test_model_file_errors():
     ("worlds: a:b c|d\n", 1, "line 1: bad world 'a:b'"),
     ("# x\nworlds: w0 c|d\n", 2, "line 2: bad world 'c|d'"),
     ("worlds: w0 a<=b\n", 1, "line 1: bad world 'a<=b'"),
+    # nor is it a section head
+    ("worlds: w0 worlds\n", 1, "line 1: bad world 'worlds'"),
+    ("worlds: order w0\n", 1, "line 1: bad world 'order'"),
+    ("# x\nworlds: w0 atoms\natoms:\n  atoms: p\n", 2, "line 2: bad world 'atoms'"),
+    ("worlds: evidence\n", 1, "line 1: bad world 'evidence'"),
+    ("worlds: w0 terms\n", 1, "line 1: bad world 'terms'"),
+    ("worlds: w0 formulas\natoms:\n  formulas: p\n", 1,
+     "line 1: bad world 'formulas'"),
     ("order:\n  w0 <= w1\nworlds: w0 w1\n", 2, "line 2: worlds: must come first"),
     ("worlds: w0 w1\norder:\n  w0 w1\n", 3, "line 3: expected 'w <= v'"),
     ("worlds: w0\nevidence:\n  w9 | x | p\n", 3, "line 3: unknown world 'w9'"),
-    # a header with no worlds on its line gives no worlds line at all
-    ("worlds:\n", 1, "line 1: missing worlds section"),
+    # a worlds: header that no line of names follows lists no world
+    ("worlds:\n", 1, "line 1: empty worlds list"),
+    ("worlds:\natoms:\n  w0: p\n", 1, "line 1: empty worlds list"),
 ])
 def test_model_file_bad_item(text, line, message):
     with pytest.raises(FileFormatError) as exc:
@@ -578,12 +587,22 @@ def test_model_bad_frame(args, message):
         BasicEvaluation(*args)
 
 
-@pytest.mark.parametrize("world", ["", "a b", "a\tb", "a:b", "c|d", "w#1", "a<=b"])
+# a section head as a world would open that section where it starts an
+# atoms: line
+@pytest.mark.parametrize("world", ["", "a b", "a\tb", "a:b", "c|d", "w#1", "a<=b",
+                                   "worlds", "order", "atoms", "evidence",
+                                   "terms", "formulas"])
 def test_print_model_rejects_unreadable_world(world):
     m = BasicEvaluation(("w0", world), (), {"w0": set(), world: {"p"}},
                         {world: {Variable("x"): {Atom("p")}}})
     with pytest.raises(ValueError, match="cannot be written"):
         print_model(m)
+
+
+def test_model_file_worlds_below_header():
+    m = parse_model("worlds:\n  w0 w1\norder:\n  w0 <= w1\natoms:\n  w1: p\n")
+    assert m.worlds == ("w0", "w1")
+    assert parse_model(print_model(m)) == m
 
 
 def test_world_names_kept_as_given():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import jlogic
 from jlogic import proof_system, syntax
+from jlogic.generators import random_formula, random_term
 from jlogic.syntax import (
     And,
     App,
@@ -355,6 +356,59 @@ def test_closure_of_roots_is_union_of_their_closures(a, b):
     assert close_subformulas([a, b, a]) == subformulas(a) | subformulas(b)
     ts = formula_terms(a) | formula_terms(b)
     assert close_subterms(ts) == frozenset().union(*map(subterms, ts))
+
+
+# --- the walks against recursive references ----------------------------------
+
+
+def reference_parts(node):
+    """A node's immediate subterms or subformulas, by its kind."""
+    if isinstance(node, (App, Sum, And, Or, Implies)):
+        return [node.left, node.right]
+    if isinstance(node, Bang):
+        return [node.inner]
+    if isinstance(node, Just):
+        return [node.body]
+    return []
+
+
+def reference_closure(node):
+    return {node}.union(*map(reference_closure, reference_parts(node)))
+
+
+def reference_size(node):
+    return 1 + sum(map(reference_size, reference_parts(node)))
+
+
+def test_walks_agree_with_reference():
+    rng = random.Random(28)
+    for _ in range(200):
+        ts = [random_term(rng, rng.randrange(6)) for _ in range(rng.randrange(4))]
+        fs = [random_formula(rng, rng.randrange(6)) for _ in range(rng.randrange(4))]
+        assert close_subterms(ts) == set().union(*map(reference_closure, ts))
+        assert close_subformulas(fs) == set().union(*map(reference_closure, fs))
+        for t in ts:
+            assert subterms(t) == reference_closure(t)
+            assert term_size(t) == reference_size(t)
+        for a in fs:
+            assert subformulas(a) == reference_closure(a)
+            assert formula_size(a) == reference_size(a)
+
+
+NODE_CLASSES = {cls for module in (syntax, proof_system) for cls in vars(module).values()
+                if isinstance(cls, type) and issubclass(cls, (syntax.Term, syntax.Formula))
+                and cls not in (syntax.Term, syntax.Formula)}
+
+
+def test_every_node_class_states_its_parts():
+    # a node's parts are its fields of its own sort: a new node class that
+    # leaves one out would slip past the closure and size walks
+    assert {Atom, Falsum, Implies, Just, Bang, proof_system._MetaT} <= NODE_CLASSES
+    for cls in NODE_CLASSES:
+        sort = "Term" if issubclass(cls, syntax.Term) else "Formula"
+        assert "_parts" in vars(cls), cls
+        assert cls._parts == tuple(f.name for f in dataclasses.fields(cls)
+                                   if f.type == sort), cls
 
 
 def test_equality_does_not_trust_hashes():
