@@ -27,6 +27,7 @@ from jlogic.proof_system import (
     print_proof,
 )
 from jlogic.saturation import (
+    CANONICAL_CAP,
     CapExceeded,
     FailedPrecondition,
     RefutedBySemantics,
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("universe")
     p.add_argument("--out", default="-")
     p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=4)
-    p.add_argument("--cap", type=_int_in(0), default=14)
+    p.add_argument("--cap", type=_int_in(0), default=CANONICAL_CAP)
     p.add_argument("--cs", default=None)
 
     return parser

@@ -305,6 +305,13 @@ class CanonicalModel:
     excluded_unknown: tuple[frozenset[Formula], ...]  # candidate sets, unresolved
 
 
+# The most formulas in a universe that bounded_canonical_model takes unless
+# told otherwise (jlogic canonical --cap).  The screen judges all 2^n
+# subsets of an n-formula universe, and the ones that pass are kept as
+# frozensets until check_prime has judged them: a universe of n independent
+# atoms has 2^n prime worlds, so the cap bounds memory as well as time.
+CANONICAL_CAP = 24
+
 # The canonical screen judges at most 2 ** _BLOCK_BITS subsets at once, so
 # no mask holds more bits than that, whatever the universe size.
 _BLOCK_BITS = 16
@@ -371,7 +378,7 @@ def bounded_canonical_model(
     u: FormulaUniverse,
     cs: ConstantSpecification,
     k: int,
-    cap: int = 14,
+    cap: int = CANONICAL_CAP,
 ) -> CanonicalModel:
     """Canonical-model fragment over u: worlds are the certified-prime
     subsets of u ordered by inclusion, atoms hold by membership, and the

@@ -28,7 +28,9 @@ for the closure), the mask of every world and the atoms' masks.  The
 closure, the truth masks and validation all read it.  Each canonical
 poset of countermodel search has its frame too, built by the same
 constructor once per poset, which the models found on the poset share,
-and packed tables that judge a block of valuations at once (see _Lanes).
+and packed tables that judge a block of (valuation, seed assignment)
+pairs at once (see _Lanes); a search packs the poset's seed assignments
+in chunks as it reaches them (see _seed_chunks).
 """
 
 from __future__ import annotations
@@ -394,6 +396,14 @@ def _close(full, upclose, base, terms, formula_universe, cs):
     transitive.  So validate_model checks neither: it checks only that
     the order is a partial order.  Both universes must be closed under
     subterms and subformulas; every caller closes them.
+
+    Every operation on masks here acts bit by bit (&, |, a copy, full)
+    but upclose, so the closure of seeds packed in lanes of n bits is the
+    closure of each lane's seeds, provided full is every world in every
+    lane and upclose is None or keeps each lane's bits within the lane.
+    One call then closes a chunk of seed assignments at once (see
+    find_countermodel).  A new rule must keep to operations that act bit
+    by bit or lane by lane.
     """
     derived: dict[Term, dict[Formula, int]] = {}
     for t in terms:
@@ -562,9 +572,10 @@ class Countermodel:
 # relabels each order in all n! ways: 0.04 s at 5 worlds, 4 s at 6.
 MAX_WORLDS = 5
 
-# The most valuations that countermodel search judges at once: a block of
-# them packs one lane of n bits per valuation into every row's mask, so a
-# row never holds more than _BLOCK * n bits, whatever the atom count.
+# The most lanes that countermodel search judges at once: a block packs one
+# lane of n bits per (valuation, seed assignment) pair into every row's
+# mask, so a row never holds more than _BLOCK * n bits, whatever the atom
+# count and the number of seed assignments.
 _BLOCK = 4096
 
 
@@ -599,15 +610,20 @@ class _LaneBelow:
 
 
 class _Lanes(NamedTuple):
-    """A poset's tables for judging a block of valuations at once, where
-    the last `inner` atoms vary and the earlier ones are fixed: the v-th
-    valuation of the block, in the order of itertools.product, lives in
-    bits n*v .. n*v+n-1 of every mask, its lane.  rep has bit 0 of every
-    lane, so mask * rep puts a world mask in every lane; full is every
+    """A poset's tables for judging a block of (valuation, seed
+    assignment) pairs at once, where the last `inner` atoms vary, the
+    earlier ones are fixed, and a chunk of `chunk` seed assignments
+    goes with every valuation: the c-th assignment at the v-th valuation
+    of the block, in the order of itertools.product, lives in bits n*l ..
+    n*l+n-1 of every mask, its lane, where l = v * chunk + c.  rep has
+    bit 0 of every lane, so mask * rep puts a world mask in every lane;
+    spread has bit 0 of the first lane of every valuation, so mask *
+    spread puts the lanes of a chunk at every valuation; full is every
     world in every lane; below is a _LaneBelow; atoms are the packed
     masks of the inner atoms, the first atom first."""
 
     rep: int
+    spread: int
     full: int
     below: _LaneBelow
     atoms: tuple[int, ...]
@@ -618,18 +634,17 @@ class _Poset(NamedTuple):
     tables: up[i] is the mask of world i and the worlds above it; upsets
     are the up-closed masks in increasing order, minima their minimal
     worlds, and costs how many minimal worlds each has.  lanes holds the
-    _Lanes of each inner atom count, built on first use (see _lanes),
-    and block_atoms is the most atoms whose valuations fit in one block.
-    frame is the poset as a model with no atoms and no evidence, on the
-    worlds w0 .. w(n-1): its order tables serve the closure (_upclose,
-    see _close), and the models found on the poset take its frame (see
-    BasicEvaluation._found)."""
+    _Lanes of each (inner atom count, chunk size), built on first use
+    (see _lanes).  block_atoms is the most atoms whose valuations fit in
+    one block, one lane each.  frame is the poset as a model with no
+    atoms and no evidence, on the worlds w0 .. w(n-1): the models found
+    on the poset take its frame (see BasicEvaluation._found)."""
 
     up: tuple[int, ...]
     upsets: tuple[int, ...]
     minima: tuple[tuple[int, ...], ...]
     costs: tuple[int, ...]
-    lanes: dict[int, _Lanes]
+    lanes: dict[tuple[int, int], _Lanes]
     block_atoms: int
     frame: BasicEvaluation
 
@@ -688,24 +703,26 @@ def _canonical_posets(n: int) -> list[_Poset]:
     return out
 
 
-def _lanes(poset: _Poset, inner: int) -> _Lanes:
-    """The poset's _Lanes for blocks where the last inner atoms vary,
-    built on first use.  The atom that varies fastest takes the upsets
-    in turn, one lane each; the one before it holds each upset for
-    len(upsets) lanes, and so on."""
-    lanes = poset.lanes.get(inner)
+def _lanes(poset: _Poset, inner: int, chunk: int = 1) -> _Lanes:
+    """The poset's _Lanes for blocks where the last inner atoms vary and
+    every valuation takes chunk lanes, built on first use.  The atom that
+    varies fastest takes the upsets in turn, chunk lanes each; the one
+    before it holds each upset for len(upsets) times as many lanes, and
+    so on."""
+    lanes = poset.lanes.get((inner, chunk))
     if lanes is None:
         n, count = len(poset.up), len(poset.upsets)
-        size = count ** inner
+        size = count ** inner * chunk
         rep = _repeat(n, size)
         atoms = []
         for d in reversed(range(inner)):
-            run = count ** d  # the lanes that one upset holds in a row
+            run = count ** d * chunk  # the lanes that one upset holds in a row
             period = sum(s * _repeat(n, run) << n * run * k
                          for k, s in enumerate(poset.upsets))
             atoms.append(period * _repeat(n * run * count, size // (run * count)))
-        lanes = poset.lanes[inner] = _Lanes(
-            rep, ((1 << n) - 1) * rep, _LaneBelow(poset.up, rep), tuple(atoms))
+        lanes = poset.lanes[inner, chunk] = _Lanes(
+            rep, _repeat(n * chunk, size // chunk), ((1 << n) - 1) * rep,
+            _LaneBelow(poset.up, rep), tuple(atoms))
     return lanes
 
 
@@ -737,10 +754,24 @@ def _seed_assignments(costs, k: int, budget: int):
             stack += [(prefix + (s,), left - costs[s]) for s in reversed(fits)]
 
 
-# The closures of a goal with no t:B subformula: its one seed assignment,
-# the empty one, whose closure is empty, so it has no t:B masks and no
-# factivity needs.
-_NO_SEEDS = (((), (), ()),)
+def _seed_chunks(poset: _Poset, k: int, budget: int):
+    """The poset's seed assignments of k seeds within budget, in the
+    order of _seed_assignments, in chunks of _BLOCK, each as (size,
+    masks): lane c of masks[p] (bits n*c .. n*c+n-1) is the upset of the
+    p-th seed of the chunk's c-th assignment.  A chunk is built when the
+    search reaches it, and nothing is kept after.  The last chunk is
+    padded with copies of its last assignment to the next power of two,
+    at most _BLOCK, so a poset has _lanes for one chunk size per power
+    of two up to _BLOCK; a copy never wins, as its twin passes at the
+    same valuations in a lower lane."""
+    todo = _seed_assignments(poset.costs, k, budget)
+    # a seed's column of upsets as binary digits, the last lane first
+    digits = [format(s, f"0{len(poset.up)}b") for s in poset.upsets]
+    while combos := list(itertools.islice(todo, _BLOCK)):
+        size = min(1 << (len(combos) - 1).bit_length(), _BLOCK)
+        combos += combos[-1:] * (size - len(combos))
+        yield size, tuple(int("".join(digits[s] for s in reversed(column)), 2)
+                          for column in zip(*combos))
 
 
 def find_countermodel(
@@ -759,43 +790,41 @@ def find_countermodel(
     first candidate in that order that refutes a is returned.
 
     Candidates are judged on the goal's subformulas, compiled once per
-    search into rows (see _compile) and run over masks of worlds.  The
-    valuations of a poset are judged a block at a time, in lanes (see
-    _Lanes): the last atoms, as many as keep a block within _BLOCK
-    valuations, vary inside a block, one valuation per lane of n bits,
-    and the earlier atoms stay fixed and drive the loop over blocks in
-    the order of itertools.product.  The rows run unchanged on the
-    packed masks: & and | act lane by lane, and the packed below table
-    applies the order to every lane at once.  What a row's mask depends
-    on decides when it runs.  The t:B masks and the factivity needs
-    (where each evidenced subformula must hold) depend only on the
-    closure of the seed assignment: they are computed when the first
-    block of a poset meets the assignment, reused by the later blocks,
-    and put in every lane with * rep.  The rows below no t:B run once
-    per block, and only the rows above some t:B once per closure and
-    block.
+    search into rows (see _compile) and run over masks of worlds, a
+    block of candidates at a time, in lanes (see _Lanes): one lane of n
+    bits per (valuation, seed assignment) pair, valuation-major.  A
+    poset's seed assignments come in chunks of at most _BLOCK lanes,
+    one lane per assignment (see _seed_chunks).  One _close of a chunk's
+    seed masks closes all of its assignments at once, as every mask
+    operation of the closure acts lane by lane; the t:B masks and the
+    factivity needs (where each evidenced subformula must hold) are read
+    off it, put in every valuation of a block with one multiplication,
+    and kept for the poset's later blocks.  A chunk is closed when the
+    first block reaches it, so a pass in the first chunk closes no other.
 
-    A closure passes at the lanes where a fails at some world and no
-    need is violated.  Within a block the candidates in enumeration
-    order are the (valuation, closure) pairs by valuation first, so the
-    first candidate is the pass in the lowest lane, from the earliest
-    closure that passes there: the block's closures are all judged,
-    keeping the lowest lane so far, unless one passes in lane 0, which
-    no later closure can better.  The first block's closures are built
-    as they are judged, so a pass at the first valuation builds no
-    closure after it.  Blocks run in order, so the first block with a
-    pass holds the first countermodel: the same one that judging the
-    candidates one at a time finds.
+    Blocks are runs of consecutive candidates, judged in enumeration
+    order.  When one chunk holds all the assignments, the last atoms,
+    as many as keep a block within _BLOCK lanes, vary inside a block,
+    and the earlier atoms stay fixed and drive the loop over blocks in
+    the order of itertools.product.  With more chunks than one (so a
+    full first chunk), a block is one valuation and one chunk, the
+    chunks in order innermost.  One _run over the rows other than t:B
+    judges every candidate of a block: & and | act lane by lane, and
+    the packed below table applies the order to every lane at once.  A
+    candidate passes where a fails at some world and no need is
+    violated.  So the first block with a pass holds the first
+    countermodel, in its lowest passing lane, the same one that judging
+    the candidates one at a time finds, and its valuation and seed
+    assignment are read off that lane's bits.  A seed assignment whose
+    closure equals an earlier one's needs no skip: the earlier one
+    passes at the same valuations, in a lower lane, so it always wins.
 
     The closure (see _close) starts from base masks that are the upsets
     themselves: the up-closure of an upset's minimal worlds is the
     upset, so this is the closure of the seeds at the minimal worlds,
-    and the model returned gets its base as seeds at those worlds.  The
-    closure's upclose table comes with the poset too.  A seed assignment
-    whose t:B masks and needs equal an earlier one's is skipped: its
-    candidates are judged as the earlier one's, which come before it at
-    every valuation, so skipping it never changes which countermodel is
-    first.
+    and the model returned gets its base as seeds at those worlds.  It
+    runs with no upclose table: the &, | and copies of upsets, and full,
+    are upsets again, so every provisional mask is already up-closed.
 
     The order laws, M1, M2 and conditions (1)-(4) hold by construction
     (canonical posets, upset valuations, _close).  An evidenced formula
@@ -810,12 +839,11 @@ def find_countermodel(
     in the searched space, not that a is valid.
 
     A goal with no t:B subformula has one seed assignment, the empty
-    one, whose closure is empty and known before the search, so the
-    search builds no closure for it (_NO_SEEDS) and its candidates are
-    the valuations alone: where they fit in one block (one world and at
-    most 12 atoms, say), a poset costs one run of the rows and the lowest
-    lane where a fails.  Each canonical poset brings the frame that a
-    model found on it gets.
+    one, whose closure is empty, so the search builds no closure for it
+    and its candidates are the valuations alone: where they fit in one
+    block (one world and at most 12 atoms, say), a poset costs one run
+    of the rows and the lowest lane where a fails.  Each canonical poset
+    brings the frame that a model found on it gets.
 
     max_worlds runs from 1 to MAX_WORLDS; ValueError outside that.
     """
@@ -834,20 +862,8 @@ def find_countermodel(
             _compile((body,), rows, index)
     f_universe = frozenset(index)  # the subformulas of a
     goal = index[a]
-    # t:B rows, rows below no t:B, and the rows above some t:B, in order;
-    # Atom and Falsum rows name no rows as operands
-    just_rows, free, above_just = [], [], []
-    on_seeds = set()  # the rows of the first and the last kind
-    for row in rows:
-        i, op, left, right = row
-        if op is Just:
-            just_rows.append(row)
-            on_seeds.add(i)
-        elif left in on_seeds or right in on_seeds:
-            above_just.append(row)
-            on_seeds.add(i)
-        else:
-            free.append(row)
+    just_rows = [row for row in rows if row[1] is Just]
+    judged = [row for row in rows if row[1] is not Just]
     atom_names = sorted(name for _, op, name, _ in rows if op is Atom)
     pool = sorted(
         ((t, b) for _, _, t, b in just_rows),
@@ -859,99 +875,90 @@ def find_countermodel(
     for n in range(1, max_worlds + 1):
         world_full = (1 << n) - 1
         for poset in _canonical_posets(n):
-            upsets = poset.upsets
+            upsets, count = poset.upsets, len(poset.upsets)
+            # a goal with no t:B has one seed assignment, the empty one, and
+            # no closure to build: it skips the chunk tables
+            chunks = (_seed_chunks(poset, len(pool), evidence_budget) if pool
+                      else iter(((1, ()),)))
+            first = next(chunks)
             inner = min(len(atom_names), poset.block_atoms)
-            rep, full, below, inner_masks = _lanes(poset, inner)
+            while count ** inner * first[0] > _BLOCK:
+                inner -= 1
             outer_names = atom_names[:len(atom_names) - inner]
             inner_names = atom_names[len(outer_names):]
-            atoms = dict(zip(inner_names, inner_masks))
-            closures = [] if pool else _NO_SEEDS
-            judged = set()
+            chunks = itertools.chain((first,), chunks)
+            # each chunk reached: size, lanes, seeds, t:B masks, needs
+            closed = [] if pool else [(1, _lanes(poset, inner, 1), (), [], [])]
 
-            def seeded():
-                """For each seed assignment: the assignment, and the t:B
-                masks and factivity needs (row, mask) of its closure, built
-                on the first block and kept in closures for the later
-                ones."""
-                for combo in _seed_assignments(poset.costs, len(pool), evidence_budget):
+            def closing():
+                """Close each chunk of seed assignments as the first
+                blocks reach it, keeping it in closed for the later ones."""
+                for size, seeds in chunks:
+                    lanes = _lanes(poset, inner, size)
                     base: dict[Term, dict[Formula, int]] = {}
-                    for (t, b), s in zip(pool, combo):
-                        if upsets[s]:
-                            base.setdefault(t, {})[b] = upsets[s]
-                    derived = _close(world_full, poset.frame._upclose, base, t_order,
-                                     f_universe, cs)
+                    for (t, b), mask in zip(pool, seeds):
+                        if mask:
+                            base.setdefault(t, {})[b] = mask
+                    # upsets stay upsets: no upclose (see the docstring)
+                    derived = _close(world_full * _repeat(n, size), None, base,
+                                     t_order, f_universe, cs)
                     # factivity: each formula must hold wherever it is evidenced
                     evidenced: dict[Formula, int] = {}
                     for per_term in derived.values():
                         for f, mask in per_term.items():
                             evidenced[f] = evidenced.get(f, 0) | mask
-                    needs = [(index[f], need) for f, need in evidenced.items()
-                             if f in index]
-                    masks = [(i, _just_mask(derived, t, b)) for i, _, t, b in just_rows]
-                    key = (tuple(masks), frozenset(needs))
-                    if key in judged:
-                        continue
-                    judged.add(key)
-                    closures.append((combo, masks, needs))
-                    yield combo, masks, needs
+                    masks = [(i, _just_mask(derived, t, b) * lanes.spread)
+                             for i, _, t, b in just_rows]
+                    needs = [(index[f], need * lanes.spread)
+                             for f, need in evidenced.items() if f in index]
+                    closed.append((size, lanes, seeds, masks, needs))
+                    yield closed[-1]
 
             values = [0] * len(rows)
-            outers = itertools.product(upsets, repeat=len(outer_names))
-            for outer in outers:
-                for p, s in zip(outer_names, outer):
-                    atoms[p] = s * rep
-                _run(free, values, atoms, full, below, None)
-                first = None  # (lowest passing bit, its closure, refuted worlds)
-                lower = -1  # the bits of the lanes below the lowest pass
-                for combo, masks, needs in closures or seeded():
-                    if masks:
-                        for i, mask in masks:
-                            values[i] = mask * rep
-                        _run(above_just, values, atoms, full, below, None)
-                    refuted = full & ~values[goal]
-                    passed = _hit_lanes(refuted, n, rep) & lower
+            for outer in itertools.product(upsets, repeat=len(outer_names)):
+                for size, lanes, seeds, masks, needs in closed or closing():
+                    atoms = dict(zip(inner_names, lanes.atoms))
+                    for p, s in zip(outer_names, outer):
+                        atoms[p] = s * lanes.rep
+                    for i, mask in masks:
+                        values[i] = mask
+                    _run(judged, values, atoms, lanes.full, lanes.below, None)
+                    refuted = lanes.full & ~values[goal]
+                    passed = _hit_lanes(refuted, n, lanes.rep)
+                    if passed and needs:
+                        violated = 0
+                        for row, need in needs:
+                            violated |= need & ~values[row]
+                        passed &= ~_hit_lanes(violated, n, lanes.rep)
                     if not passed:
                         continue
-                    violated = 0
-                    for row, need in needs:
-                        violated |= need * rep & ~values[row]
-                    if violated:
-                        passed &= ~_hit_lanes(violated, n, rep)
-                    if passed:
-                        low = (passed & -passed).bit_length() - 1
-                        first = (low, combo, refuted >> low & world_full)
-                        if not low:
-                            break
-                        lower = (1 << low) - 1
-                if first is None:
-                    continue
-                low, combo, refuted = first
-                atom_masks = dict(zip(outer_names, outer))
-                for p, mask in zip(inner_names, inner_masks):
-                    atom_masks[p] = mask >> low & world_full
-                names = poset.frame.worlds
-                base: dict[str, dict[Term, set[Formula]]] = {w: {} for w in names}
-                for (t, b), s in zip(pool, combo):
-                    for i in poset.minima[s]:
-                        base[names[i]].setdefault(t, set()).add(b)
-                m = BasicEvaluation._found(
-                    poset,
-                    atom_masks,
-                    {w: {t: frozenset(fs) for t, fs in per_term.items()}
-                     for w, per_term in base.items()},
-                    t_universe,
-                    f_universe,
-                    cs,
-                    rows,
-                    index,
-                )
-                verdict = validate_model(m)
-                if not verdict.ok:
-                    raise AssertionError(
-                        f"countermodel search built an invalid model: {verdict}"
+                    low = (passed & -passed).bit_length() - 1
+                    c = low // n % size  # the assignment's lane in its chunk
+                    names = poset.frame.worlds
+                    base_sets: dict[str, dict[Term, set[Formula]]] = {
+                        w: {} for w in names}
+                    for (t, b), mask in zip(pool, seeds):
+                        for i in poset.minima[upsets.index(mask >> n * c & world_full)]:
+                            base_sets[names[i]].setdefault(t, set()).add(b)
+                    m = BasicEvaluation._found(
+                        poset,
+                        {p: mask >> low & world_full for p, mask in atoms.items()},
+                        {w: {t: frozenset(fs) for t, fs in per_term.items()}
+                         for w, per_term in base_sets.items()},
+                        t_universe,
+                        f_universe,
+                        cs,
+                        rows,
+                        index,
                     )
-                world = names[(refuted & -refuted).bit_length() - 1]
-                return Countermodel(m, world)
+                    verdict = validate_model(m)
+                    if not verdict.ok:
+                        raise AssertionError(
+                            f"countermodel search built an invalid model: {verdict}"
+                        )
+                    refuted = refuted >> low & world_full
+                    world = names[(refuted & -refuted).bit_length() - 1]
+                    return Countermodel(m, world)
     return None
 
 

@@ -2,6 +2,7 @@
 command line tool."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import jlogic
 from jlogic import cli
 from jlogic.cli import main
 from jlogic.proof_system import MAX_DEPTH, parse_proof
+from jlogic.saturation import CANONICAL_CAP, bounded_canonical_model
 from jlogic.syntax import parse_formula, print_formula
 
 PROOF = """hypotheses:
@@ -463,6 +465,23 @@ def test_canonical_cap_exit_1(capsys):
                      "--cap", "3")
     assert rc == 1
     assert "cap" in err
+
+
+def test_canonical_default_cap_is_the_librarys(capsys, tmp_path):
+    # a 20-formula J-4 chain with three prime sets: over a cap of 19, and
+    # within the default, which is the library's
+    term, f = "x", "x:p"
+    for _ in range(18):
+        term = "!" + term
+        f = f"{term}:{f}"
+    path = tmp_path / "chain.txt"
+    path.write_text(f"universe: {f}\n")
+    assert run(capsys, "canonical", str(path), "--cap", "19")[0] == 1
+    rc, out, _ = run(capsys, "canonical", str(path))
+    assert rc == 0 and "\nworlds: Δ0 Δ1 Δ2\n" in out
+    assert cli._parser().parse_args(["canonical", "u"]).cap \
+        == inspect.signature(bounded_canonical_model).parameters["cap"].default \
+        == CANONICAL_CAP == 24
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,58 @@ def test_packed_atoms_decode_to_product_order(n):
             assert decoded == valuations
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_atoms_hold_each_valuation_over_its_chunk(n):
+    # lane v * chunk + c is the c-th seed assignment at the v-th valuation
+    for poset in semantics._canonical_posets(n):
+        for chunk in (2, 5):
+            for inner in (0, 1, 2):
+                lanes = semantics._lanes(poset, inner, chunk)
+                valuations = list(itertools.product(poset.upsets, repeat=inner))
+                size = len(valuations) * chunk
+                assert lanes.rep == sum(1 << (n * lane) for lane in range(size))
+                assert lanes.spread == sum(1 << (n * chunk * v)
+                                           for v in range(len(valuations)))
+                decoded = [tuple(mask >> (n * lane) & (1 << n) - 1
+                                 for mask in lanes.atoms) for lane in range(size)]
+                assert decoded == [v for v in valuations for _ in range(chunk)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_seed_chunks_decode_to_seed_assignments(monkeypatch, block):
+    # full chunks of block lanes, then the rest padded with copies of the
+    # last assignment to a power of two, at most block
+    monkeypatch.setattr(semantics, "_BLOCK", block)
+    monkeypatch.setattr(semantics, "_POSET_CACHE", {})
+    for n in (1, 2, 3):
+        for poset in semantics._canonical_posets(n):
+            for k, budget in ((1, 0), (2, 6), (3, 2)):
+                want = list(semantics._seed_assignments(poset.costs, k, budget))
+                chunks = list(semantics._seed_chunks(poset, k, budget))
+                got = []
+                for size, masks in chunks:
+                    assert len(masks) == k
+                    assert size == block or size == 1 << (size - 1).bit_length() < block
+                    got += [tuple(poset.upsets.index(mask >> (n * c) & (1 << n) - 1)
+                                  for mask in masks) for c in range(size)]
+                    assert all(mask < 1 << n * size for mask in masks)
+                assert all(size == block for size, _ in chunks[:-1])
+                assert got[:len(want)] == want
+                assert got[len(want):] == want[-1:] * (len(got) - len(want))
+                assert len(got) - len(want) < chunks[-1][0] / 2
+
+
+def test_lanes_are_kept_for_few_chunk_sizes(monkeypatch):
+    # a search keeps no seed chunks, and _lanes only for chunk sizes that
+    # are powers of two
+    monkeypatch.setattr(semantics, "_POSET_CACHE", {})
+    for i, a in enumerate(evidence_goals(31, 60)):
+        find_countermodel(a, 1 + i % 3, 3)
+    for n in (1, 2, 3):
+        for poset in semantics._canonical_posets(n):
+            assert all(chunk & (chunk - 1) == 0 for _, chunk in poset.lanes)
+
+
 @pytest.mark.parametrize("costs", [(0,), (0, 1), (0, 1, 2, 1), (1, 2, 1, 0, 3)])
 def test_seed_assignments_match_filtered_product(costs):
     for k in range(4):
@@ -674,6 +726,66 @@ def test_many_atoms_refuted_at_one_world_return_at_once(monkeypatch):
     found = find_countermodel(goal, 5)
     assert found is not None and found.model.worlds == ("w0",)
     assert len(runs) == 1
+
+
+def evidence_goals(seed, count):
+    """count seeded random goals with at least two t:B subformulas."""
+    rng = random.Random(seed)
+    goals = []
+    while len(goals) < count:
+        a = random_formula(rng, 3)
+        if sum(isinstance(f, Just) for f in subformulas(a)) >= 2:
+            goals.append(a)
+    return goals
+
+
+def test_chunk_and_block_boundaries_keep_the_first_countermodel(monkeypatch):
+    # small blocks split the seed assignments of a poset into many chunks
+    # and a chunk's valuations over many blocks; the posets are rebuilt
+    # so that no lanes or chunks of the real block size are reused
+    searches = [(parse_formula(src), 3, 6) for src in NON_THEOREMS]
+    searches += [(parse_formula(src), 2, 6) for src in J_AXIOMS]
+    searches += [(a, 1 + i % 3, 3) for i, a in enumerate(evidence_goals(29, 200))]
+    wants = []
+    for a, n, budget in searches:
+        want = reference_search(a, n, budget)
+        wants.append(None if want is None else (want[1], print_model(want[0])))
+    assert sum(want is not None for want in wants) > 150
+    for block in (1, 3, 64):
+        monkeypatch.setattr(semantics, "_BLOCK", block)
+        monkeypatch.setattr(semantics, "_POSET_CACHE", {})
+        for (a, n, budget), want in zip(searches, wants):
+            found = find_countermodel(a, n, budget)
+            got = None if found is None else (found.world, print_model(found.model))
+            assert got == want, (block, print_formula(a), n)
+        test_first_countermodels_pinned()
+
+
+@pytest.mark.parametrize("src, n", [
+    ("x:(p -> q) -> y:p -> x.y:q", 3),  # one chunk, one valuation a block
+    ("x:" * 22 + "p", 1),  # 110,056 seed assignments: chunks of _BLOCK
+])
+def test_masks_hold_at_most_block_lanes(monkeypatch, src, n):
+    widest = []
+    real = semantics._run
+
+    def bounded(rows, values, atoms, full, below, just):
+        real(rows, values, atoms, full, below, just)
+        # the rows it wrote and the t:B masks that the search put in values
+        widest.append(max(mask.bit_length() for mask in values))
+        assert widest[-1] <= full.bit_length() <= semantics._BLOCK * n
+
+    monkeypatch.setattr(semantics, "_run", bounded)
+    find_countermodel(parse_formula(src), n)
+    assert widest and max(widest) > semantics._BLOCK // 4  # lanes are in use
+
+
+def test_theorems_with_many_seed_assignments_have_no_countermodel():
+    # up to 848 seed assignments on a poset of two worlds, and up to
+    # 2,510 on one of four: each poset's fit in one chunk
+    assert find_countermodel(
+        parse_formula("x:p -> y:q -> z:r -> u:p -> v:q -> q"), 2) is None
+    assert find_countermodel(parse_formula("x:(p -> q) -> y:p -> x.y:q"), 4) is None
 
 
 def test_found_models_have_the_constructors_frame():
