@@ -23,8 +23,8 @@ a formula's truth set is a mask, so factivity is one test of masks per
 evidenced formula, and a t:B formula holds on the mask of B in t*.
 
 A model has one frame, built by its constructor: the world positions,
-the order as _Below tables both ways (below for implications, upclose
-for the closure), the mask of every world and the atoms' masks.  The
+the order as one _Below table (each world's up mask, and below[mask]
+for implications), the mask of every world and the atoms' masks.  The
 closure, the truth masks and validation all read it.  Each canonical
 poset of countermodel search has its frame too, built by the same
 constructor once per poset, which the models found on the poset share,
@@ -127,21 +127,18 @@ class BasicEvaluation:
             (a, b) for a, b in order
         )
         up = [0] * len(self.worlds)  # up[i]: the worlds that world i sees
-        seeing = [0] * len(self.worlds)  # seeing[j]: the worlds that see world j
         for a, b in self.order:
             i, j = self._position.get(a), self._position.get(b)
             if i is None or j is None:
                 raise ValueError(f"order pair ({a}, {b}) uses an unknown world")
             up[i] |= 1 << j
-            seeing[j] |= 1 << i
         self._below = _Below(up)
-        self._upclose = _Below(seeing)
         self._full = (1 << len(self.worlds)) - 1
         self.atoms: dict[str, frozenset[str]] = {
             w: frozenset(atoms.get(w, ())) for w in self.worlds
         }
         self._atom_masks: dict[str, int] = {}
-        for w in atoms or {}:
+        for w in atoms:
             i = self._position.get(w)
             if i is None:
                 raise ValueError(f"atom valuation uses an unknown world {w}")
@@ -184,15 +181,14 @@ class BasicEvaluation:
         that are closed and hold every term of the base and of the t:B
         formulas.  rows and index are the search's compiled rows of the
         formula universe, run on the first query.  Every model found on a
-        poset shares the frame model's _position, _below and _upclose:
-        nothing writes to them but _Below's memo of a pure function."""
+        poset shares the frame model's _position and _below: nothing
+        writes to them but _Below's memo of a pure function."""
         frame = poset.frame
         m = cls.__new__(cls)
         m.worlds = worlds = frame.worlds
         m._position = frame._position
         m.order = frame.order
         m._below = frame._below
-        m._upclose = frame._upclose
         m._full = frame._full
         m._atom_masks = atom_masks
         m.atoms = {w: frozenset(p for p, mask in atom_masks.items() if mask >> i & 1)
@@ -208,22 +204,25 @@ class BasicEvaluation:
     def closure(self) -> dict[Term, dict[Formula, int]]:
         """The derived evidence of every term of the universe as {A: mask},
         the mask of the worlds w with A in t*_w (see _close); a formula in
-        no t*_w has no entry.  Built on first use."""
+        no t*_w has no entry.  A seed at world w is placed at w and every
+        world that w sees, an upset on a transitive order.  Built on first
+        use."""
         if self._closure is None:
+            up = self._below.up
             base: dict[Term, dict[Formula, int]] = {}
             for w, per_term in self.base_evidence.items():
-                bit = 1 << self._position[w]
+                i = self._position[w]
+                seen = 1 << i | up[i]
                 for t, formulas in per_term.items():
                     seeds = base.setdefault(t, {})
                     for a in formulas:
-                        seeds[a] = seeds.get(a, 0) | bit
+                        seeds[a] = seeds.get(a, 0) | seen
             self._closure = _close(
-                self._full,
-                self._upclose,
                 base,
                 sorted(self.term_universe, key=term_size),
                 self.formula_universe,
                 self.cs,
+                self._full,
             )
         return self._closure
 
@@ -368,74 +367,71 @@ class _Below(dict):
         return out
 
 
-def _close(full, upclose, base, terms, formula_universe, cs):
-    """Least evidence family over the base satisfying (1)-(4) and (M2),
-    as {t: {A: mask}}: bit i of the mask is set when A is in t* at the
+def _close(base, terms, formula_universe, cs, full):
+    """Least evidence family over the base satisfying (1)-(4), as
+    {t: {A: mask}}: bit i of the mask is set when A is in t* at the
     i-th world, and a formula in t* at no world has no entry.
 
-    full is the mask of every world.  upclose is the _Below table of the
-    transposed order, so upclose[P] is the mask of the worlds w with
-    (u, w) in the order for some u in P, or None for no order.  base maps
-    a term to {A: mask} of its seeds, each mask non-zero, and terms is the
-    term universe with every subterm before its superterms (sorted by
-    size, say).  One pass over terms: a term's provisional mask P of a
-    formula is its base mask or'ed with the exact condition images from
-    its subterms' final masks.  Application
-    intersects the masks of B -> A and B (an A with several such B's gets
-    the union), sum ors the masks of its operands, !s carries the mask of
-    each B in s* over to s:B, and a constant gets every world for each
-    formula of the universe that cs covers.  The final mask is
-    P | upclose[P], or P with no order.
+    base maps a term to {A: mask} of its seeds, each mask non-zero,
+    terms is the term universe with every subterm before its superterms
+    (sorted by size, say), and full is the mask of every world.  One
+    pass over terms: a term's mask of a formula is its base mask or'ed
+    with the exact condition images from its subterms' masks.
+    Application intersects the masks of B -> A and B (an A with several
+    such B's gets the union), sum ors the masks of its operands, !s
+    carries the mask of each B in s* over to s:B, and a constant gets
+    every world for each formula of the universe that cs covers.
+    Subterm masks are complete when a composite is processed, so (1)-(4)
+    hold at every world.  Both universes must be closed under subterms
+    and subformulas; every caller closes them.
 
-    That is exact on any order, reflexive or not, transitive or not: the
-    final set at a world w is the union of the provisional sets at w and
-    at every world u with (u, w) in the order, and A is in that union
-    exactly when w is in P or in upclose[P].  Subterm finals are complete
-    when a composite is processed, so (1)-(4) hold at every world, and
-    the union makes the family upward-monotone (M2) whenever the order is
-    transitive.  So validate_model checks neither: it checks only that
-    the order is a partial order.  Both universes must be closed under
-    subterms and subformulas; every caller closes them.
+    The closure never reads an order: upsets in, upsets out.  &, |, a
+    copy and full each keep upsets, so when every seed mask is an upset
+    of an order, every mask of the result is one, and the family is
+    upward-monotone (M2).  A model places each seed at its world and
+    every world that world sees (see BasicEvaluation.closure), an upset
+    when the order is transitive, reflexive or not; countermodel search
+    seeds upsets; the canonical screen's points have no order between
+    them.  Every family with M2 holds a seed at every world above the
+    seed's own, so on a transitive order this is the least family over
+    the seeds satisfying (1)-(4) and M2, and validate_model checks
+    neither: it checks only that the order is a partial order.  On an
+    order that is not transitive, the rules apply world by world to the
+    seeds placed one step up, with no union step, and validate_model
+    reports the order.
 
-    Every operation on masks here acts bit by bit (&, |, a copy, full)
-    but upclose, so the closure of seeds packed in lanes of n bits is the
-    closure of each lane's seeds, provided full is every world in every
-    lane and upclose is None or keeps each lane's bits within the lane.
-    One call then closes a chunk of seed assignments at once (see
-    find_countermodel).  A new rule must keep to operations that act bit
-    by bit or lane by lane.
+    Every operation on masks here acts bit by bit, so the closure of
+    seeds packed in lanes of n bits is the closure of each lane's seeds,
+    provided full is every world in every lane.  One call then closes a
+    chunk of seed assignments at once (see find_countermodel).  A new
+    rule must keep to &, |, copies and full.
     """
     derived: dict[Term, dict[Formula, int]] = {}
     for t in terms:
-        provisional = dict(base.get(t, ()))
+        derived[t] = masks = dict(base.get(t, ()))
         kind = type(t)
         if kind is Constant:
             for a in cs.instances_for(t.name, formula_universe):
-                provisional[a] = full
+                masks[a] = full
         elif kind is App:
             right = derived[t.right]
             for f, mask in derived[t.left].items():
                 if type(f) is Implies:
                     both = mask & right.get(f.left, 0)
                     if both:
-                        provisional[f.right] = provisional.get(f.right, 0) | both
+                        masks[f.right] = masks.get(f.right, 0) | both
         elif kind is Sum:
             for side in (derived[t.left], derived[t.right]):
                 for a, mask in side.items():
-                    provisional[a] = provisional.get(a, 0) | mask
+                    masks[a] = masks.get(a, 0) | mask
         elif kind is Bang:
             for b, mask in derived[t.inner].items():
                 f = Just(t.inner, b)
-                provisional[f] = provisional.get(f, 0) | mask
-        derived[t] = provisional if upclose is None else {
-            a: mask | upclose[mask] for a, mask in provisional.items()}
+                masks[f] = masks.get(f, 0) | mask
     return derived
 
 
-def close_evidence(base, terms, formula_universe, cs, full: int):
-    """_close for callers outside this module, at points with no order
-    between them: bit i of a mask is the i-th point, full has them all."""
-    return _close(full, None, base, terms, formula_universe, cs)
+close_evidence = _close
 
 
 def _just_mask(derived, t: Term, body: Formula) -> int:
@@ -507,9 +503,9 @@ def validate_model(m: BasicEvaluation) -> CheckVerdict:
     """Check the partial-order laws, valuation monotonicity (M1) and
     factivity: what a model's inputs can break.  Evidence monotonicity
     (M2) and closure conditions (1)-(4) hold by construction of the
-    closure on a transitive order (see _close), and a non-transitive one
-    is reported as such.  Collects every violation rather than stopping
-    at the first.
+    closure on a transitive order, whose seeds are upsets (see _close),
+    and a non-transitive one is reported as such.  Collects every
+    violation rather than stopping at the first.
 
     The order and M1 violations are sorted only when there are some: by
     order pair, then the world d of a transitivity failure (before the
@@ -690,7 +686,8 @@ def _canonical_posets(n: int) -> list[_Poset]:
                                         for j in range(n) if up[i] >> j & 1), {})
         upsets = tuple(s for s in range(1 << n)
                        if all(up[i] & ~s == 0 for i in range(n) if s >> i & 1))
-        seeing = frame._upclose.up  # seeing[i]: the worlds that see world i
+        # seeing[i]: the worlds that see world i
+        seeing = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
         minima = tuple(
             tuple(i for i in range(n) if s & seeing[i] == 1 << i) for s in upsets
         )
@@ -820,11 +817,10 @@ def find_countermodel(
     passes at the same valuations, in a lower lane, so it always wins.
 
     The closure (see _close) starts from base masks that are the upsets
-    themselves: the up-closure of an upset's minimal worlds is the
-    upset, so this is the closure of the seeds at the minimal worlds,
-    and the model returned gets its base as seeds at those worlds.  It
-    runs with no upclose table: the &, | and copies of upsets, and full,
-    are upsets again, so every provisional mask is already up-closed.
+    themselves: an upset is the worlds that its minimal worlds see, so
+    this is the closure of the seeds at the minimal worlds, and the
+    model returned gets its base as seeds at those worlds.  Upsets close
+    to upsets, so M2 needs no step of its own (see _close).
 
     The order laws, M1, M2 and conditions (1)-(4) hold by construction
     (canonical posets, upset valuations, _close).  An evidenced formula
@@ -899,9 +895,8 @@ def find_countermodel(
                     for (t, b), mask in zip(pool, seeds):
                         if mask:
                             base.setdefault(t, {})[b] = mask
-                    # upsets stay upsets: no upclose (see the docstring)
-                    derived = _close(world_full * _repeat(n, size), None, base,
-                                     t_order, f_universe, cs)
+                    derived = _close(base, t_order, f_universe, cs,
+                                     world_full * _repeat(n, size))
                     # factivity: each formula must hold wherever it is evidenced
                     evidenced: dict[Formula, int] = {}
                     for per_term in derived.values():

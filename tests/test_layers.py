@@ -3,11 +3,12 @@ jlogic.syntax, whose file front end and parse tables the readers share.
 And the inventory of the recursion in the package: the cycles of each
 module's call graph, each with what bounds its depth; no module reads or
 moves the recursion limit, or walks its own stack.  And one frame
-builder: only BasicEvaluation's constructor builds the order tables of a
+builder: only BasicEvaluation's constructor builds the order table of a
 world frame."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jlogic
@@ -198,7 +199,7 @@ def test_call_graph_finds_mutual_recursion():
 
 
 # The functions that may build an order table: the model constructor the
-# unpacked ones, for every frame in the package, and _lanes the packed ones.
+# unpacked one, for every frame in the package, and _lanes the packed ones.
 FRAME_BUILDERS = {
     "_Below": "semantics.BasicEvaluation.__init__",
     "_LaneBelow": "semantics._lanes",
@@ -223,11 +224,13 @@ def callers(tree, module, names):
 
 
 def test_only_the_model_constructor_builds_a_frame():
-    found = set()
+    # one call of each table in its builder: a second order table, in
+    # the builder or elsewhere, shows as a second call
+    found = Counter()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= set(callers(tree, path.stem, FRAME_BUILDERS))
-    assert found == set(FRAME_BUILDERS.items())
+        found.update(callers(tree, path.stem, FRAME_BUILDERS))
+    assert found == Counter(FRAME_BUILDERS.items())
 
 
 def test_callers_name_the_enclosing_function():

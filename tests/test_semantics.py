@@ -42,7 +42,7 @@ from jlogic.syntax import (
     term_key,
     term_size,
 )
-from test_countermodel import reference_close
+from test_countermodel import reference_close, reference_evaluator
 
 CS = ConstantSpecification.default_schematic()
 p, q = Atom("p"), Atom("q")
@@ -231,11 +231,12 @@ def test_closure_idempotent():
             assert again.evidence(term, w) == fam[term][w]
 
 
-def reference_validation_text(m):
+def reference_validation_text(m, derived=None):
     """str(validate_model(m)) as the per-world closure gives it: the
     order laws and M1, then factivity by a walk over the worlds, the
     terms in term_key order and the false formulas in formula_key
-    order."""
+    order.  derived is the per-world closure to read, reference_close
+    of m by default."""
     out = []
     rel = m.order
     for w in m.worlds:
@@ -253,9 +254,10 @@ def reference_validation_text(m):
         for name in sorted(m.atoms[w]):
             if name not in m.atoms[v]:
                 out.append(f"M1 at {w},{v}: atom {name} lost going up")
-    derived = reference_close(m.worlds, m.order, m.base_evidence,
-                              sorted(m.term_universe, key=term_size),
-                              m.formula_universe, m.cs)
+    if derived is None:
+        derived = reference_close(m.worlds, m.order, m.base_evidence,
+                                  sorted(m.term_universe, key=term_size),
+                                  m.formula_universe, m.cs)
     for w in m.worlds:
         for term in sorted(m.term_universe, key=term_key):
             false = [a for a in derived[term][w] if not evaluate_truth(m, w, a)]
@@ -299,6 +301,20 @@ def _invalid_models():
     }
 
 
+def seeds_up_reference(m):
+    """The closure of m on any order, one world at a time: each seed at
+    its world and at every world that world sees, and the rules applied
+    world by world with no union step (reference_close on no order)."""
+    base = {v: {} for v in m.worlds}
+    for w, per_term in m.base_evidence.items():
+        for v in m.worlds:
+            if v == w or (w, v) in m.order:
+                for term, formulas in per_term.items():
+                    base[v].setdefault(term, set()).update(formulas)
+    return reference_close(m.worlds, (), base, sorted(m.term_universe, key=term_size),
+                           m.formula_universe, m.cs)
+
+
 @pytest.mark.parametrize("case", [*_invalid_models(), *range(8)],
                          ids=lambda c: f"seed{c}" if isinstance(c, int) else c)
 def test_mask_closure_matches_per_world(case):
@@ -306,15 +322,73 @@ def test_mask_closure_matches_per_world(case):
         m = _invalid_models()[case]
     else:
         m = _closure_test_model(case)
-    derived = reference_close(m.worlds, m.order, m.base_evidence,
-                              sorted(m.term_universe, key=term_size),
-                              m.formula_universe, m.cs)
+    if case == "not-transitive":
+        # the union step is the closure only on a transitive order
+        derived = seeds_up_reference(m)
+    else:
+        derived = reference_close(m.worlds, m.order, m.base_evidence,
+                                  sorted(m.term_universe, key=term_size),
+                                  m.formula_universe, m.cs)
     for term in m.term_universe:
         for w in m.worlds:
             assert m.evidence(term, w) == derived[term][w], (term, w)
     text = str(validate_model(m))
-    assert text == reference_validation_text(m)
+    assert text == reference_validation_text(m, derived)
     assert (text == "valid") == isinstance(case, int)
+
+
+def random_transitive_model(rng):
+    """A model on a random transitive order, as direct construction may
+    build one: world names against their positions, some worlds that do
+    not see themselves, cycles among the others, any atoms, and seeds at
+    any world, minimal or not, over a term universe with constants,
+    application, sum and !."""
+    c1, c4 = Constant("c1"), Constant("c4")  # IPC-1 and IPC-4
+    worlds = [f"w{i}" for i in rng.sample(range(10), rng.randint(1, 5))]
+    pairs = [(rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 8))]
+    star = transitive_reflexive_closure(worlds, pairs)
+    # a step of pairs, then any walk: transitive, and reflexive only on
+    # a cycle or where a world is given itself
+    order = {(a, c) for a, b in pairs for b2, c in star if b2 == b}
+    order |= {(w, w) for w in worlds if rng.random() < 0.6}
+    atoms = {w: {a for a in "pq" if rng.random() < 0.5} for w in worlds}
+    pool = [p, q, Implies(p, q), Implies(q, p), Just(x, p),
+            parse_formula("p /\\ q -> p")]
+    evidence = {w: {term: set(rng.sample(pool, rng.randint(1, 2)))
+                    for term in rng.sample([x, y, App(x, y), c1], rng.randint(0, 2))}
+                for w in worlds}
+    universe = [parse_formula(f, constants=CS.constants()) for f in [
+        "p -> q -> p", "p /\\ q -> p", "x:p -> p", "c1.x:(q -> p)",
+        "c4 + y:(p /\\ q -> p)", "!x:x:p", "x.y:q \\/ y:p",
+    ]]
+    return BasicEvaluation(worlds, order, atoms, base_evidence=evidence,
+                           term_universe={c1, App(c1, x), Sum(c4, y), Bang(x)},
+                           formula_universe=universe, cs=CS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_on_transitive_orders_matches_union_step(seed):
+    # seeds placed at their world and the worlds it sees, with no union
+    # step, close to what the union step gives on every transitive order
+    rng = random.Random(seed)
+    for _ in range(150):
+        m = random_transitive_model(rng)
+        assert all((a, d) in m.order for a, b in m.order for c, d in m.order if b == c)
+        derived = reference_close(m.worlds, m.order, m.base_evidence,
+                                  sorted(m.term_universe, key=term_size),
+                                  m.formula_universe, m.cs)
+        for term in m.term_universe:
+            for w in m.worlds:
+                assert m.evidence(term, w) == derived[term][w], (term, w)
+        assert str(validate_model(m)) == reference_validation_text(m)
+        up = [sum(1 << j for j, v in enumerate(m.worlds) if (w, v) in m.order)
+              for w in m.worlds]
+        atoms = {a: sum(1 << i for i, w in enumerate(m.worlds) if a in m.atoms[w])
+                 for a in "pq"}
+        truth_set = reference_evaluator(m.worlds, up, atoms, derived)
+        for a in m.formula_universe:
+            for i, w in enumerate(m.worlds):
+                assert evaluate_truth(m, w, a) == bool(truth_set(a) >> i & 1), (a, w)
 
 
 def test_universe_not_closed():
