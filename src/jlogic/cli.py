@@ -38,6 +38,7 @@ from jlogic.saturation import (
     prime_saturate,
 )
 from jlogic.semantics import (
+    EVIDENCE_BUDGET,
     MAX_WORLDS,
     UniverseNotClosed,
     evaluate_truth,
@@ -53,7 +54,6 @@ from jlogic.syntax import (
     parse_term,
     print_formula,
     print_term,
-    term_size,
 )
 
 
@@ -96,13 +96,11 @@ def _load_cs(path: str | None) -> ConstantSpecification:
 
 
 def cmd_parse(args, stdout) -> int:
-    if args.term:
-        kind, node = "term", parse_term(args.input)
-        text, size = print_term(node, args.full_parens), term_size(node)
-    else:
-        kind, node = "formula", parse_formula(args.input)
-        text, size = print_formula(node, args.full_parens), formula_size(node)
-    _emit(args, stdout, text, {"kind": kind, "canonical": text, "size": size})
+    kind, parse = ("term", parse_term) if args.term else ("formula", parse_formula)
+    node = parse(args.input)
+    text = print_formula(node, args.full_parens)
+    _emit(args, stdout, text,
+          {"kind": kind, "canonical": text, "size": formula_size(node)})
     return 0
 
 
@@ -321,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("countermodel", "search for a finite model refuting a formula")
     p.add_argument("formula")
     p.add_argument("--max-worlds", type=_int_in(1, MAX_WORLDS), default=3)
-    p.add_argument("--budget", type=_int_in(0), default=6)
+    p.add_argument("--budget", type=_int_in(0), default=EVIDENCE_BUDGET)
     p.add_argument("--cs", default=None)
 
     p = add("saturate", "extend a base toward a prime set avoiding a goal")

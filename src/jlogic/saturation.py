@@ -21,6 +21,7 @@ from jlogic.proof_system import (
     match_axiom,
 )
 from jlogic.semantics import (
+    EVIDENCE_BUDGET,
     BasicEvaluation,
     Countermodel,
     close_evidence,
@@ -99,9 +100,8 @@ class Unknown:
 Certificate = Derivable | RefutedBySemantics | Unknown
 
 
-# The oracle's countermodel search bounds.
+# The most worlds of the oracle's countermodel search.
 ORACLE_MAX_WORLDS = 3
-ORACLE_EVIDENCE_BUDGET = 6
 
 
 class DerivabilityOracle:
@@ -134,13 +134,13 @@ class DerivabilityOracle:
         chain = goal
         for h in reversed(ordered):
             chain = Implies(h, chain)
-        found = find_countermodel(chain, 1, ORACLE_EVIDENCE_BUDGET, self.cs)
+        found = find_countermodel(chain, 1, EVIDENCE_BUDGET, self.cs)
         if found is None:
             result = bounded_derive(ordered, goal, self.cs, self.depth)
             if isinstance(result, Derivable):
                 return result
             found = find_countermodel(
-                chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
+                chain, ORACLE_MAX_WORLDS, EVIDENCE_BUDGET, self.cs
             )
             if found is None:
                 return Unknown(
@@ -192,9 +192,10 @@ def check_prime(th: BoundedTheory, cs: ConstantSpecification) -> PrimeVerdict:
     """Primeness of th.members relative to its universe: consistency,
     the disjunction property, and relative deductive closure via oracle
     queries members |- A for every universe formula A.  The verdict is
-    unknown when it rests on an unresolved oracle answer: a closure query
-    that came back Unknown, or a missing disjunct whose exclusion during
-    saturation was Unknown-based."""
+    unknown when it rests on an unresolved oracle answer: a disjunction
+    with neither disjunct among the members while any certificate
+    recorded on th is Unknown, or a closure query that came back
+    Unknown."""
     members = th.members
     if FALSUM in members:
         return PrimeVerdict("not_prime", "contains _|_")

@@ -568,6 +568,10 @@ class Countermodel:
 # relabels each order in all n! ways: 0.04 s at 5 worlds, 4 s at 6.
 MAX_WORLDS = 5
 
+# The most evidence seeds a countermodel search places: find_countermodel's
+# and `jlogic countermodel --budget`'s default, and the oracle's budget.
+EVIDENCE_BUDGET = 6
+
 # The most lanes that countermodel search judges at once: a block packs one
 # lane of n bits per (valuation, seed assignment) pair into every row's
 # mask, so a row never holds more than _BLOCK * n bits, whatever the atom
@@ -774,7 +778,7 @@ def _seed_chunks(poset: _Poset, k: int, budget: int):
 def find_countermodel(
     a: Formula,
     max_worlds: int,
-    evidence_budget: int = 6,
+    evidence_budget: int = EVIDENCE_BUDGET,
     cs: ConstantSpecification | None = None,
 ) -> Countermodel | None:
     """Search for a basic modular model falsifying a at some world.

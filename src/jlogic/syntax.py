@@ -27,9 +27,9 @@ from typing import NamedTuple
 # protocol once: ``==`` is the hash-first, stack-driven ``_equal`` below,
 # ``hash`` returns the hash the constructor stored, and ``__reduce__``
 # rebuilds a node through its constructor, so an unpickled node hashes
-# under the loading process's hash seed.  ``_key`` holds the minimal
-# printed form: a leaf's from when it is built, a composite node's from
-# when the printer first reaches it (see _show).
+# under the loading process's hash seed; ``str`` is the printer.  ``_key``
+# holds the minimal printed form: a leaf's from when it is built, a
+# composite node's from when the printer first reaches it (see _show).
 #
 # A node's hash is computed from its class name and its name or its
 # children's stored hashes, so hashing costs O(1) and never recurses.
@@ -135,8 +135,7 @@ def _binary(cls):
 
 
 class Term(_Node):
-    def __str__(self) -> str:
-        return print_term(self)
+    """A justification term."""
 
 
 @_leaf
@@ -173,8 +172,7 @@ class Bang(Term):
 
 
 class Formula(_Node):
-    def __str__(self) -> str:
-        return print_formula(self)
+    """A formula."""
 
 
 @_leaf
@@ -269,14 +267,13 @@ close_subterms = close_subformulas = _closure
 term_size = formula_size = _size
 
 
-def subterms(t: Term) -> frozenset[Term]:
-    """Least set containing t and closed under immediate subterms."""
-    return _closure((t,))
-
-
-def subformulas(a: Formula) -> frozenset[Formula]:
-    """Least set containing a and closed under immediate subformulas."""
+def subformulas(a: Term | Formula) -> frozenset:
+    """Least set containing a and closed under immediate subformulas (of
+    a term, subterms)."""
     return _closure((a,))
+
+
+subterms = subformulas
 
 
 def formula_terms(a: Formula) -> frozenset[Term]:
@@ -373,23 +370,14 @@ def _show(root, full: bool) -> str:
     return form(root)
 
 
-def print_term(t: Term, full_parens: bool = False) -> str:
-    """Render t with minimal parentheses (or fully parenthesized)."""
-    return _show(t, True) if full_parens else t._key or _show(t, False)
-
-
-def print_formula(a: Formula, full_parens: bool = False) -> str:
-    """Render a with minimal parentheses (or fully parenthesized)."""
+def print_formula(a: Term | Formula, full_parens: bool = False) -> str:
+    """Render a term or formula a with minimal parentheses (or fully
+    parenthesized)."""
     return _show(a, True) if full_parens else a._key or _show(a, False)
 
 
-def formula_key(a: Formula) -> str:
-    """Sort key: the printed form (injective on formulas)."""
-    return print_formula(a)
-
-
-def term_key(t: Term) -> str:
-    return print_term(t)
+# The sort keys are the printed form, which is injective on each sort.
+_Node.__str__ = print_term = formula_key = term_key = print_formula
 
 
 # ---------------------------------------------------------------------------

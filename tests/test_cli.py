@@ -17,6 +17,7 @@ from jlogic import cli
 from jlogic.cli import main
 from jlogic.proof_system import MAX_DEPTH, parse_proof
 from jlogic.saturation import CANONICAL_CAP, bounded_canonical_model
+from jlogic.semantics import EVIDENCE_BUDGET, find_countermodel
 from jlogic.syntax import parse_formula, print_formula
 
 PROOF = """hypotheses:
@@ -365,6 +366,14 @@ def test_countermodel_none_found(capsys):
     rc, out, _ = run(capsys, "countermodel", "x:p -> p")
     assert rc == 1
     assert out == "none found within bounds\n"
+
+
+def test_countermodel_default_budget_is_the_librarys(capsys):
+    rc, out, _ = run(capsys, "countermodel", "x:p -> p", "--format", "json")
+    assert rc == 1 and json.loads(out)["budget"] == EVIDENCE_BUDGET
+    assert cli._parser().parse_args(["countermodel", "p"]).budget \
+        == inspect.signature(find_countermodel).parameters["evidence_budget"].default \
+        == EVIDENCE_BUDGET == 6
 
 
 KB_CS = "kb := x:p -> p\n"

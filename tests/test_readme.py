@@ -1,7 +1,9 @@
 """The Python examples in README run and print what their comments say."""
 
+import importlib
 import io
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -10,6 +12,8 @@ import tokenize
 from pathlib import Path
 
 import pytest
+
+import jlogic
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -83,3 +87,21 @@ def test_readme_cli_transcript(tmp_path):
         ran.append(argv[1] if argv[0] == "jlogic" else argv[0])
     assert ran == ["parse", "parse", "countermodel", "cat", "model-validate",
                    "model-eval", "saturate", "canonical"]
+
+
+def library_names():
+    """Each backticked identifier of the README's Library section that a
+    jlogic submodule has as a public attribute."""
+    section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    modules = [importlib.import_module(f"jlogic.{m.name}")
+               for m in pkgutil.iter_modules(jlogic.__path__)]
+    return sorted({name for name in re.findall(r"`([A-Za-z_]\w*)`", section)
+                   if not name.startswith("_")
+                   and any(hasattr(m, name) for m in modules)})
+
+
+@pytest.mark.parametrize("name", library_names())
+def test_library_names_are_exported(name):
+    """The Library section's promise: everything it names is importable
+    from the top-level package."""
+    assert name in jlogic.__all__

@@ -20,6 +20,7 @@ from jlogic.proof_system import (
     with_hypotheses,
 )
 from jlogic.semantics import (
+    EVIDENCE_BUDGET,
     BasicEvaluation,
     Countermodel,
     evaluate_truth,
@@ -29,7 +30,6 @@ from jlogic.semantics import (
     validate_model,
 )
 from jlogic.saturation import (
-    ORACLE_EVIDENCE_BUDGET,
     ORACLE_MAX_WORLDS,
     BoundedTheory,
     CapExceeded,
@@ -439,7 +439,7 @@ def proof_first_query(self, hyps, goal):
         for h in reversed(ordered):
             chain = Implies(h, chain)
         found = find_countermodel(
-            chain, ORACLE_MAX_WORLDS, ORACLE_EVIDENCE_BUDGET, self.cs
+            chain, ORACLE_MAX_WORLDS, EVIDENCE_BUDGET, self.cs
         )
         if found is None:
             cert = Unknown(

@@ -555,6 +555,24 @@ def test_keys_are_printed_forms(a, t):
         assert term_key(t) == print_term(t)
 
 
+def test_one_node_api_for_both_sorts():
+    # each per-sort pair of the node API is one function, and str is the
+    # printer, inherited by both sorts
+    assert print_term is print_formula is formula_key is term_key
+    assert subterms is subformulas
+    assert "__str__" not in vars(syntax.Term)
+    assert "__str__" not in vars(syntax.Formula)
+    rng = random.Random(31)
+    for _ in range(300):
+        for node in (random_term(rng, rng.randrange(6)),
+                     random_formula(rng, rng.randrange(6))):
+            assert str(node) == reference_show(node, False)
+            for full in (True, False):
+                text = reference_show(node, full)
+                assert print_formula(node, full) == print_term(node, full) == text
+            assert formula_key(node) == term_key(node) == str(node)
+
+
 def test_nodes_stay_frozen():
     a = Implies(p, q)
     formula_key(a)
