@@ -28,6 +28,7 @@ from jlogic.proof_system import (
 )
 from jlogic.saturation import (
     CANONICAL_CAP,
+    ORACLE_DEPTH,
     CapExceeded,
     FailedPrecondition,
     RefutedBySemantics,
@@ -326,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("universe", help="universe file with base: and goal:")
     p.add_argument("--goal", default=None,
                    help="override the goal from the file")
-    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=4)
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=ORACLE_DEPTH)
     p.add_argument("--cs", default=None)
 
     p = add("canonical", "build the bounded canonical model of a universe")
     p.add_argument("universe")
     p.add_argument("--out", default="-")
-    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=4)
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), default=ORACLE_DEPTH)
     p.add_argument("--cap", type=_int_in(0), default=CANONICAL_CAP)
     p.add_argument("--cs", default=None)
 

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 from jlogic.syntax import (
     And,
     App,
-    Atom,
     Bang,
     Constant,
     FALSUM,
-    Falsum,
     FileFormatError,
     Formula,
     Implies,
@@ -107,10 +105,11 @@ AXIOM_TAGS: tuple[str, ...] = tuple(AXIOM_SCHEMAS)
 
 def _compile(pat, bound: set):
     """A matcher for one pattern node: a function (target, env) -> bool
-    that checks the target's constructor and binds or compares
-    metavariables in env.  bound holds the metavariables that an earlier
-    part of the pattern (left before right, term before body) binds, and
-    gains those that pat binds."""
+    that checks the target's class and binds or compares metavariables in
+    env.  It matches the fields of __match_args__ that hold a term or a
+    formula, in that order, and compares a node with none whole.  bound
+    holds the metavariables that an earlier field (left before right,
+    term before body) binds, and gains those that pat binds."""
     if isinstance(pat, (_MetaF, _MetaT)):
         name = pat.name
         sort = Formula if isinstance(pat, _MetaF) else Term
@@ -129,20 +128,17 @@ def _compile(pat, bound: set):
 
         return bind
     cls = type(pat)
-    if isinstance(pat, (And, Or, Implies, App, Sum)):
-        left, right = _compile(pat.left, bound), _compile(pat.right, bound)
-        return lambda tgt, env: (
-            type(tgt) is cls and left(tgt.left, env) and right(tgt.right, env)
-        )
-    if isinstance(pat, Just):
-        term, body = _compile(pat.term, bound), _compile(pat.body, bound)
-        return lambda tgt, env: (
-            type(tgt) is cls and term(tgt.term, env) and body(tgt.body, env)
-        )
-    if isinstance(pat, Bang):
-        inner = _compile(pat.inner, bound)
-        return lambda tgt, env: type(tgt) is cls and inner(tgt.inner, env)
-    return lambda tgt, env: type(tgt) is cls and tgt == pat  # Falsum, Atom, ...
+    d = pat.__dict__
+    fields = [(f, _compile(d[f], bound)) for f in pat.__match_args__
+              if isinstance(d[f], (Formula, Term))]
+    if not fields:
+        return lambda tgt, env: type(tgt) is cls and tgt == pat  # Falsum, Atom, ...
+    if len(fields) == 1:
+        [(f, inner)] = fields
+        return lambda tgt, env: type(tgt) is cls and inner(tgt.__dict__[f], env)
+    [(f, first), (g, second)] = fields  # no node class has three
+    return lambda tgt, env: type(tgt) is cls and first(
+        (attrs := tgt.__dict__)[f], env) and second(attrs[g], env)
 
 
 _METAVARIABLES: dict[str, set[str]] = {tag: set() for tag in AXIOM_SCHEMAS}
@@ -151,25 +147,26 @@ _MATCHERS = {
 }
 
 
-# (antecedent class, consequent class) -> candidate tags in declaration
-# order; a metavariable side accepts every class.  The classes are every
-# formula constructor, the metavariable included (a schema is an instance
-# of itself), so a missing key means the sides are not formulas.
-_SHAPES = (Atom, Falsum, And, Or, Implies, Just, _MetaF)
-_BY_SHAPE = {
-    (lc, rc): tuple(
-        tag for tag, pat in AXIOM_SCHEMAS.items()
-        if type(pat.left) in (lc, _MetaF) and type(pat.right) in (rc, _MetaF)
-    )
-    for lc in _SHAPES
-    for rc in _SHAPES
-}
+class _Shapes(dict):
+    """(antecedent class, consequent class) -> candidate tags in
+    declaration order, found the first time the pair is met; a
+    metavariable side accepts every class."""
+
+    def __missing__(self, pair) -> tuple[str, ...]:
+        lc, rc = pair
+        tags = self[pair] = tuple(
+            tag for tag, pat in AXIOM_SCHEMAS.items()
+            if type(pat.left) in (lc, _MetaF) and type(pat.right) in (rc, _MetaF))
+        return tags
+
+
+_BY_SHAPE = _Shapes()
 
 
 def _candidates(a) -> tuple[str, ...]:
     if type(a) is not Implies:
         return ()
-    return _BY_SHAPE.get((type(a.left), type(a.right)), ())
+    return _BY_SHAPE[type(a.left), type(a.right)]
 
 
 def match_schema(tag: str, a: Formula) -> dict | None:

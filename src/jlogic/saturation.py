@@ -100,8 +100,9 @@ class Unknown:
 Certificate = Derivable | RefutedBySemantics | Unknown
 
 
-# The most worlds of the oracle's countermodel search.
+# The oracle's most worlds of countermodel search and default proof depth.
 ORACLE_MAX_WORLDS = 3
+ORACLE_DEPTH = 4
 
 
 class DerivabilityOracle:
@@ -233,7 +234,7 @@ def split_disjunction(
     b: Formula,
     goal: Formula,
     cs: ConstantSpecification,
-    depth: int = 4,
+    depth: int = ORACLE_DEPTH,
 ) -> str:
     """Pick a disjunct that can be added without deriving the goal:
     "left" or "right" with a semantic non-derivability certificate for

@@ -46,13 +46,14 @@ from typing import NamedTuple
 # no parts fails in the walks.
 
 _node = dataclass(frozen=True, eq=False)
+_NAMED: set[type] = set()  # the leaf classes, whose names _equal compares
 
 
 def _equal(a, b) -> bool:
-    """Structural equality of two nodes without recursion.  Pairs of
-    composite children go on an explicit stack, names and named leaves
-    compare at once, and a pair with different stored hashes settles the
-    answer without looking further down.  A node's fields are its
+    """Structural equality of two composite nodes without recursion.
+    Pairs of composite children go on an explicit stack, leaves compare
+    their names at once, and a pair with different stored hashes settles
+    the answer without looking further down.  A node's fields are its
     ``__match_args__``."""
     if a is b:
         return True
@@ -71,14 +72,10 @@ def _equal(a, b) -> bool:
             kind = type(u)
             if kind is not type(v):
                 return False
-            if kind in _NAMED:
-                if u.name != v.name:
-                    return False
-            elif kind is str:
-                if u != v:
-                    return False
-            else:
+            if kind not in _NAMED:
                 stack.append((u, v))
+            elif u.name != v.name:
+                return False
     return True
 
 
@@ -103,7 +100,7 @@ class _Node:
 
 def _leaf(cls):
     """A node class with one field, ``name``, hashed as (class name, name)
-    and compared by name."""
+    and compared by name, also inside a composite node (_NAMED)."""
     tag = cls.__name__
 
     def __init__(self, name: str):
@@ -115,6 +112,7 @@ def _leaf(cls):
     cls.__init__ = __init__
     cls.__eq__ = _equal_names
     cls._parts = ()
+    _NAMED.add(cls)
     return _node(cls)
 
 
@@ -222,7 +220,6 @@ class Just(Formula):
 
 
 FALSUM = Falsum()
-_NAMED = (Atom, Constant, Variable)  # leaves whose names _equal compares
 
 _ATOM_RE = re.compile(r"^(p|q|r|p[0-9]+)$")
 _CONSTANT_RE = re.compile(r"^c[0-9]+$")

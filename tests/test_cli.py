@@ -16,7 +16,12 @@ import jlogic
 from jlogic import cli
 from jlogic.cli import main
 from jlogic.proof_system import MAX_DEPTH, parse_proof
-from jlogic.saturation import CANONICAL_CAP, bounded_canonical_model
+from jlogic.saturation import (
+    CANONICAL_CAP,
+    ORACLE_DEPTH,
+    bounded_canonical_model,
+    split_disjunction,
+)
 from jlogic.semantics import EVIDENCE_BUDGET, find_countermodel
 from jlogic.syntax import parse_formula, print_formula
 
@@ -374,6 +379,22 @@ def test_countermodel_default_budget_is_the_librarys(capsys):
     assert cli._parser().parse_args(["countermodel", "p"]).budget \
         == inspect.signature(find_countermodel).parameters["evidence_budget"].default \
         == EVIDENCE_BUDGET == 6
+
+
+def test_depth_default_is_the_librarys(capsys, monkeypatch):
+    # the depth is the last positional argument of both library calls
+    depths = []
+    for name in ("prime_saturate", "bounded_canonical_model"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, **kw:
+                            depths.append(args[-1]) or real(*args, **kw))
+    assert run(capsys, "saturate", universe("sat-peirce.txt"))[0] == 0
+    assert run(capsys, "canonical", universe("canon-atom.txt"))[0] == 0
+    assert depths == [ORACLE_DEPTH, ORACLE_DEPTH]
+    assert cli._parser().parse_args(["saturate", "u"]).depth \
+        == cli._parser().parse_args(["canonical", "u"]).depth \
+        == inspect.signature(split_disjunction).parameters["depth"].default \
+        == ORACLE_DEPTH == 4
 
 
 KB_CS = "kb := x:p -> p\n"

@@ -1,5 +1,6 @@
 """Axiom matching, constant specifications, proof checking, file formats."""
 
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,10 @@ from jlogic.syntax import (
     Sum,
     Term,
     Variable,
+    _binary,
+    _leaf,
+    close_subformulas,
+    formula_size,
     parse_formula,
     print_formula,
 )
@@ -248,6 +253,45 @@ def test_metavariables_differ_from_atoms_and_variables():
     assert Atom("p") != proof_system._MetaF("p")
     assert proof_system._MetaT("x") != Variable("x")
     assert proof_system._MetaF("A") == proof_system._MetaF("A")
+
+
+@_binary
+class Xor(Formula):  # node classes declared here alone, as a new one would be
+    left: Formula
+    right: Formula
+
+
+@_leaf
+class Witness(Term):
+    name: str
+
+
+def test_a_node_class_is_declared_once():
+    # names built at run time, so that equal names are distinct objects
+    w, v = (Witness("".join(["w", "1"])) for _ in range(2))
+    r = Xor(Just(w, p), q)
+    same = Xor(Just(v, p), q)
+    assert r == same and hash(r) == hash(same) and r is not same
+    assert r != Xor(Just(Variable("w1"), p), q) != Xor(Just(Witness("w2"), p), q)
+    assert w == v != Variable("w1")
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert close_subformulas([r]) == {r, Just(w, p), p, q}
+    assert formula_size(r) == 4
+    t, A, B = proof_system._MetaT("t"), proof_system._MetaF("A"), proof_system._MetaF("B")
+    pat = Xor(Just(t, A), Xor(A, B))
+    env = {"t": w, "A": p, "B": q}
+    instance = proof_system._substitute(pat, env)
+    assert instance == Xor(Just(v, p), Xor(p, q))
+    bound = set()
+    matcher = proof_system._compile(pat, bound)
+    got = {}
+    assert matcher(instance, got) and list(got) == ["t", "A", "B"] and got == env
+    assert bound == {"t", "A", "B"}
+    assert not matcher(Xor(Just(w, p), Xor(q, q)), {})  # A bound to p
+    assert not matcher(Xor(Just(w, p), Implies(p, q)), {})
+    assert not matcher(Implies(Just(w, p), Xor(p, q)), {})
+    assert match_axiom(Implies(r, Implies(q, r))) == {"IPC-1"}
+    assert first_axiom_tag(Implies(Xor(p, q), Xor(p, q))) is None
 
 
 def test_schematic_cs_covers_all_schemas():

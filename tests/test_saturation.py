@@ -126,12 +126,21 @@ def counting(monkeypatch, name):
 
 
 def test_oracle_refutes_before_proving(monkeypatch):
-    calls = counting(monkeypatch, "bounded_derive")
+    log = []  # (name, args) of each search call, in order
+    for name in ("find_countermodel", "bounded_derive"):
+        real = getattr(saturation, name)
+        monkeypatch.setattr(saturation, name, lambda *args, name=name, real=real:
+                            log.append((name, args)) or real(*args))
     o = DerivabilityOracle(CS, 4)
     assert isinstance(o.query(frozenset({Implies(p, q)}), p), RefutedBySemantics)
-    assert calls == []  # a one-world countermodel settles it
+    # a one-world countermodel settles it
+    assert [(name, args[1]) for name, args in log] == [("find_countermodel", 1)]
+    log.clear()
     assert isinstance(o.query(frozenset({Just(x, p)}), p), Derivable)
-    assert len(calls) == 1
+    # a derivable sequent pays one one-world search before its one proof
+    # search, and no search over more worlds
+    assert [name for name, _ in log] == ["find_countermodel", "bounded_derive"]
+    assert log[0][1][1] == 1
 
 
 def test_oracle_goal_among_hypotheses_skips_search(monkeypatch):
